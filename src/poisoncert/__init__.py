@@ -8,7 +8,7 @@ lower bound), for both fixed (oracle-centroid) and data-dependent defenses.
 
 __version__ = "0.1.0"
 
-from .attacks import AttackSpec, GradientAttackResult, gradient_attack, label_flip_attack
+from .attacks import GradientAttackResult, gradient_attack, label_flip_attack
 from .certify import (
     Certificate,
     CertificationError,

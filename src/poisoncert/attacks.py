@@ -22,30 +22,10 @@ from .defense import FeasibleSet, membership_mask
 from .model import TrainConfig, evaluate, train_erm
 
 __all__ = [
-    "AttackSpec",
     "GradientAttackResult",
     "label_flip_attack",
     "gradient_attack",
 ]
-
-ATTACK_KINDS = ("label-flip", "gradient", "certificate-attack")
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """Configuration of a named baseline attack."""
-
-    kind: str
-    eps: float
-    seed: int = 0
-    steps: int = 20
-    step_size: float = 0.1
-
-    def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"kind must be one of {ATTACK_KINDS}")
-        if not 0 < self.eps <= 1:
-            raise ValueError("eps must be in (0, 1]")
 
 
 def label_flip_attack(D_c: Dataset, F: FeasibleSet, eps: float, seed: int) -> Dataset:

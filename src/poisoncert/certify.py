@@ -9,6 +9,17 @@ For fixed defenses the duality gap is bounded by the learner's average
 regret; for data-dependent defenses the same loop runs with the Gram-SDP
 oracle but the regret guarantee no longer applies, so upper and lower bounds
 are reported without the sandwich assertion.
+
+Both entry points run one driver; they differ only in the oracle it calls
+and in how the oracle's answers become an attack. A new defense supplies
+`oracle(theta, seed)` (`seed` is the step's own, drawn from the run seed)
+returning an `_OracleStep`: the gradient support `points` (k, d), `labels`
+and `masses` summing to eps; `value`, the mass-weighted worst loss added to
+the clean loss in the objective u (it must not under-estimate the maximum
+for u to stay an upper bound); `loss`, the worst loss per unit of mass,
+stored as `StepRecord.oracle_loss`; and `result`, the oracle's own answer,
+kept for attack assembly. An oracle that raises `SdpOracleError` skips its
+step; more than a tenth of the steps skipped fails the run.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +51,11 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+_FIXED_TRAIN = TrainConfig(tol=1e-9, max_stages=24, stage_iters=1500)
+_DD_TRAIN = TrainConfig(tol=1e-7, max_stages=20, stage_iters=1000)
+_SANDWICH_TOL = 1e-6  # slack on lower <= upper and on gap <= regret / T
+_MAX_SKIP_FRACTION = 0.1
 
 
 class CertificationError(RuntimeError):
@@ -225,8 +242,6 @@ def _clean_loss_and_grad(theta, D_c):
 
 
 def _hinge_sum(theta, X, y):
-    if len(y) == 0:
-        return 0.0
     return float(np.maximum(0.0, 1.0 - y * (X @ theta)).sum())
 
 
@@ -252,47 +267,31 @@ def _degenerate_certificate(kind, D_c, rho, train_config):
     )
 
 
-def certify_fixed(
-    D_c: Dataset,
-    F: FeasibleSet,
-    eps: float,
-    rho: float,
-    eta: float | None = None,
-    seed: int = 0,
-    *,
-    steps: int | None = None,
-    train_config: TrainConfig | None = None,
-    rounding_budget: int = 1000,
-    coord_cap=None,
-    sandwich_tol: float = 1e-6,
-) -> Certificate:
-    """Certify a fixed (poison-independent) defense.
+class _OracleStep(NamedTuple):
+    """One oracle answer at the learner's current iterate (see the module docstring)."""
 
-    Runs T = floor(eps * n) dual-averaging steps (or `steps` if given, in
-    which case the attack points are weight-adjusted when retraining). Each
-    step maximizes the hinge loss over the feasible set at the current
-    iterate, takes the combined clean+attack subgradient, and updates. The
-    returned certificate's bounds satisfy lower <= upper and, for continuous
-    oracles, gap <= regret/T within `sandwich_tol`; both are asserted.
+    points: np.ndarray
+    labels: np.ndarray
+    masses: np.ndarray
+    value: float
+    loss: float
+    result: object
 
-    With an integer-wrapped defense the upper bound and gradients come from
-    the continuous relaxation while the emitted attack holds the rounded
-    feasible points; the regret-gap assertion is skipped since rounding may
-    leave a genuine integrality gap.
+
+def _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, train_config, oracle, assemble):
+    """Run the learner against `oracle` and build the certificate.
+
+    `assemble(live, attack_size, rng)` gets the (theta, step) pairs of the
+    steps not skipped, floor(eps * n), and the generator the step seeds came
+    from; it returns the Certificate fields lower_bound, attack and
+    model_tilde, plus any of attack_masses, support_violation and notes.
     """
-    if F.is_data_dependent:
-        raise ValueError("certify_fixed requires an oracle (fixed) feasible set")
-    params = F.params
     if D_c.d != params.d:
         raise ValueError("dimension mismatch between data and defense")
-    train_config = train_config or TrainConfig(tol=1e-9, max_stages=24, stage_iters=1500)
-    integer_mode = F.requires_integer
-
     if eps == 0:
-        return _degenerate_certificate("integer" if integer_mode else "fixed", D_c, rho, train_config)
+        return _degenerate_certificate(kind, D_c, rho, train_config)
     if eps < 0:
         raise ValueError("eps must be non-negative")
-
     n = D_c.n
     attack_size = math.floor(eps * n)
     if attack_size < 1:
@@ -300,228 +299,19 @@ def certify_fixed(
     T = steps if steps is not None else attack_size
     if eta is None:
         eta = _default_eta(D_c, params, eps, T, rho)
-
-    rng = np.random.default_rng(seed)
-    oracle_seeds = rng.integers(0, 2**63 - 1, size=T + 1) if integer_mode else None
-
-    def oracle(model, k):
-        if integer_mode:
-            return max_loss_integer(F, model, rounding_budget, int(oracle_seeds[k]), coord_cap=coord_cap)
-        return max_loss_continuous(params, model)
-
-    state = init_rda_state(D_c.d, rho, eta)
-    records: list[StepRecord] = []
-    attack_X, attack_y = [], []
-    rounding_misses = 0
-
-    for t in range(1, T + 1):
-        theta = state.theta
-        clean_loss, clean_grad = _clean_loss_and_grad(theta, D_c)
-        res = oracle(LinearModel(theta, rho), t - 1)
-        loss_used = res.relaxed_loss if integer_mode else res.loss
-        grad_point = res.relaxed_point if integer_mode else res.point
-        u_before = clean_loss + eps * loss_used
-        if records:
-            records[-1].u_after = u_before
-
-        if integer_mode:
-            if res.point is not None:
-                attack_X.append(res.point.x)
-                attack_y.append(res.point.y)
-            else:
-                rounding_misses += 1
-        else:
-            attack_X.append(res.point.x)
-            attack_y.append(res.point.y)
-
-        g = clean_grad.copy()
-        if 1.0 - grad_point.y * float(theta @ grad_point.x) > 0.0:
-            g += eps * (-grad_point.y * grad_point.x)
-        lam_used = state.lambda_t
-        state = rda_step(state, g)
-        records.append(
-            StepRecord(
-                t=t,
-                u_before=u_before,
-                u_after=None,
-                lambda_used=lam_used,
-                lambda_after=state.lambda_t,
-                grad_norm=float(np.linalg.norm(g)),
-                oracle_loss=loss_used,
-            )
-        )
-
-    clean_loss_T, _ = _clean_loss_and_grad(state.theta, D_c)
-    res_T = oracle(LinearModel(state.theta, rho), T)
-    records[-1].u_after = clean_loss_T + eps * (res_T.relaxed_loss if integer_mode else res_T.loss)
-
-    u_trace = np.array([r.u_after for r in records])
-    u_pre_trace = np.array([r.u_before for r in records])
-    regret_trace = regret_bound_trace(
-        [r.grad_norm for r in records], [r.lambda_used for r in records], rho, eta
-    )
-    upper = float(u_trace.min())
-
-    attack = Dataset(
-        np.array(attack_X) if attack_X else np.zeros((0, D_c.d)),
-        np.array(attack_y, dtype=int) if attack_y else np.zeros(0, dtype=int),
-        integer_features=integer_mode,
-    )
-
-    weighted = steps is not None and attack.n and attack.n != attack_size
-    if weighted:
-        weights = np.concatenate([np.ones(n), np.full(attack.n, eps * n / attack.n)])
-        model_tilde = train_erm(concat(D_c, attack), rho, train_config, weights=weights)
-        lower = (
-            _hinge_sum(model_tilde.theta, D_c.X, D_c.y)
-            + (eps * n / attack.n) * _hinge_sum(model_tilde.theta, attack.X, attack.y)
-        ) / n
-    elif attack.n:
-        model_tilde = train_erm(concat(D_c, attack), rho, train_config)
-        lower = (
-            _hinge_sum(model_tilde.theta, D_c.X, D_c.y)
-            + _hinge_sum(model_tilde.theta, attack.X, attack.y)
-        ) / n
-    else:
-        model_tilde = train_erm(D_c, rho, train_config)
-        lower = _hinge_sum(model_tilde.theta, D_c.X, D_c.y) / n
-
-    cert = Certificate(
-        kind="integer" if integer_mode else "fixed",
-        eps=eps,
-        rho=rho,
-        eta=eta,
-        n_clean=n,
-        n_steps=T,
-        upper_bound=upper,
-        lower_bound=lower,
-        duality_gap=upper - lower,
-        attack=attack,
-        model_tilde=model_tilde,
-        u_trace=u_trace,
-        u_pre_trace=u_pre_trace,
-        regret_trace=regret_trace,
-        steps=records,
-    )
-    if rounding_misses:
-        cert.notes.append(f"{rounding_misses} steps produced no feasible integer rounding")
-
-    if lower > upper + sandwich_tol:
-        raise CertificationError(
-            f"lower bound {lower:.9f} exceeds upper bound {upper:.9f} beyond tolerance"
-        )
-    if not integer_mode and not weighted:
-        gap_bound = float(regret_trace[-1]) / T + sandwich_tol
-        if cert.duality_gap > gap_bound:
-            raise CertificationError(
-                f"duality gap {cert.duality_gap:.9f} exceeds regret bound {gap_bound:.9f}"
-            )
-    return cert
-
-
-def _support_violation(prog, points, mu_p, mu_m, theta):
-    """Constraint violation of the (truncated) support under its own program."""
-    vecs = np.concatenate([points, np.stack([mu_p, mu_m, theta])])
-    G = vecs @ vecs.T
-    return prog.max_violation(G)
-
-
-def certify_data_dependent(
-    D_c: Dataset,
-    F: FeasibleSet,
-    eps: float,
-    rho: float,
-    eta: float | None = None,
-    seed: int = 0,
-    *,
-    sdp_samples: int = 20,
-    attack_samples: int = 5,
-    eval_steps: int = 10,
-    steps: int | None = None,
-    train_config: TrainConfig | None = None,
-    sdp_tol: float = 1e-7,
-    sdp_max_iter: int = 20_000,
-    max_skip_fraction: float = 0.1,
-    boundary_weights: bool = True,
-    trace_path=None,
-) -> Certificate:
-    """Certify the data-dependent defense with the Gram-SDP oracle.
-
-    Each step maximizes the expected hinge loss over attack distributions on
-    at most four points (Monte-Carlo over the weight simplex, SDP per weight
-    draw) and feeds the mass-weighted expected subgradient to the learner.
-    Failed SDP steps are skipped without updating the learner; the run fails
-    if more than `max_skip_fraction` of steps are skipped. Afterwards the
-    `eval_steps` most promising stored distributions each spawn
-    `attack_samples` sampled multisets of floor(eps*n) points; the multiset
-    with the largest retrained training loss becomes the reported attack.
-    No duality assertion is made: the constraint set is non-convex.
-    """
-    if not F.is_data_dependent:
-        raise ValueError("certify_data_dependent requires a data-dependent feasible set")
-    params = F.params
-    if D_c.d != params.d:
-        raise ValueError("dimension mismatch between data and defense")
-    train_config = train_config or TrainConfig(tol=1e-7, max_stages=20, stage_iters=1000)
-
-    if eps == 0:
-        return _degenerate_certificate("data-dependent", D_c, rho, train_config)
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-
-    n = D_c.n
-    attack_size = math.floor(eps * n)
-    if attack_size < 1:
-        raise ValueError("eps * n must be at least 1")
-    T = steps if steps is not None else attack_size
-    if eta is None:
-        eta = _default_eta(D_c, params, eps, T, rho)
-    stats = class_stats(D_c)
-
-    # Boundary supports (some masses exactly zero) are tried alongside the
-    # simplex samples: they stay feasible when a class has no reachable
-    # on-margin point, and the all-off-margin corner realizes a zero-loss
-    # attack against models the defense fully protects.
-    corners = []
-    if boundary_weights:
-        corners = [
-            sdp_mod.AttackWeights(eps, 0.0, 0.0, 0.0),
-            sdp_mod.AttackWeights(0.0, 0.0, eps, 0.0),
-            sdp_mod.AttackWeights(eps / 2, 0.0, eps / 2, 0.0),
-            sdp_mod.AttackWeights(0.0, eps / 2, 0.0, eps / 2),
-        ]
-
     rng = np.random.default_rng(seed)
     step_seeds = rng.integers(0, 2**63 - 1, size=T + 1)
 
     state = init_rda_state(D_c.d, rho, eta)
     records: list[StepRecord] = []
-    candidates = []  # (value, t, points (4,d), labels, masses, program)
+    live = []
     last_live: StepRecord | None = None
-    n_skipped = 0
-
-    def run_oracle(theta, k):
-        model = LinearModel(theta, rho)
-        return sdp_mod.max_loss_data_dependent(
-            stats,
-            model,
-            params,
-            eps,
-            sdp_samples,
-            int(step_seeds[k]),
-            extra_weights=corners,
-            tol=sdp_tol,
-            max_iter=sdp_max_iter,
-            trace_path=trace_path,
-        )
-
     for t in range(1, T + 1):
         theta = state.theta
         try:
-            res = run_oracle(theta, t - 1)
+            step = oracle(theta, int(step_seeds[t - 1]))
         except sdp_mod.SdpOracleError as exc:
             logger.warning("step %d skipped: %s", t, exc)
-            n_skipped += 1
             records.append(
                 StepRecord(
                     t=t,
@@ -536,97 +326,257 @@ def certify_data_dependent(
             )
             continue
         clean_loss, clean_grad = _clean_loss_and_grad(theta, D_c)
-        u_before = clean_loss + res.value
+        u_before = clean_loss + step.value
         if last_live is not None:
             last_live.u_after = u_before
-        candidates.append((res.value, t, res.points, res.labels, res.masses, res.program, theta.copy()))
+        live.append((theta, step))
 
         g = clean_grad.copy()
-        for x, y, m in zip(res.points, res.labels, res.masses):
+        for x, y, m in zip(step.points, step.labels, step.masses):
             if m > 0 and 1.0 - y * float(theta @ x) > 0.0:
                 g += m * (-float(y) * x)
         lam_used = state.lambda_t
         state = rda_step(state, g)
-        rec = StepRecord(
+        last_live = StepRecord(
             t=t,
             u_before=u_before,
             u_after=None,
             lambda_used=lam_used,
             lambda_after=state.lambda_t,
             grad_norm=float(np.linalg.norm(g)),
-            oracle_loss=res.expected_loss,
+            oracle_loss=step.loss,
         )
-        records.append(rec)
-        last_live = rec
+        records.append(last_live)
 
-    if n_skipped > max_skip_fraction * T:
-        raise CertificationError(f"{n_skipped}/{T} SDP steps skipped (> {max_skip_fraction:.0%})")
+    n_skipped = len(records) - len(live)
+    if n_skipped > _MAX_SKIP_FRACTION * T:
+        raise CertificationError(f"{n_skipped}/{T} oracle steps skipped (> {_MAX_SKIP_FRACTION:.0%})")
 
     if last_live is not None:
         try:
-            res_T = run_oracle(state.theta, T)
+            step_T = oracle(state.theta, int(step_seeds[T]))
             clean_T, _ = _clean_loss_and_grad(state.theta, D_c)
-            last_live.u_after = clean_T + res_T.value
+            last_live.u_after = clean_T + step_T.value
         except sdp_mod.SdpOracleError as exc:
             logger.warning("final objective evaluation skipped: %s", exc)
             last_live.u_after = last_live.u_before
 
-    live = [r for r in records if not r.skipped]
-    u_trace = np.array([r.u_after for r in live])
-    u_pre_trace = np.array([r.u_before for r in live])
+    live_records = [r for r in records if not r.skipped]
+    u_trace = np.array([r.u_after for r in live_records])
+    u_pre_trace = np.array([r.u_before for r in live_records])
     regret_trace = regret_bound_trace(
-        [r.grad_norm for r in live], [r.lambda_used for r in live], rho, eta
+        [r.grad_norm for r in live_records], [r.lambda_used for r in live_records], rho, eta
     )
     upper = float(u_trace.min()) if u_trace.size else float("inf")
-
-    # Candidate attacks: sample multisets from the strongest distributions.
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-    best = None
-    warm_theta = None
-    worst_support_violation = 0.0
-    for value, t, pts, labels, masses, prog, theta_t in candidates[:eval_steps]:
-        worst_support_violation = max(
-            worst_support_violation,
-            _support_violation(prog, pts, stats.mu_plus, stats.mu_minus, theta_t),
-        )
-        probs = masses / masses.sum() if masses.sum() > 0 else np.full(4, 0.25)
-        for _ in range(attack_samples):
-            counts = rng.multinomial(attack_size, probs)
-            rows = np.repeat(pts, counts, axis=0)
-            labs = np.repeat(labels, counts)
-            D_p = Dataset(rows, labs.astype(int))
-            model_tilde = train_erm(
-                concat(D_c, D_p), rho, train_config, init=warm_theta
-            )
-            warm_theta = model_tilde.theta
-            score = (
-                _hinge_sum(model_tilde.theta, D_c.X, D_c.y)
-                + _hinge_sum(model_tilde.theta, D_p.X, D_p.y)
-            ) / n
-            if best is None or score > best[0]:
-                best = (score, D_p, model_tilde, masses)
-
-    if best is None:
-        raise CertificationError("no attack candidate could be evaluated")
-    lower, attack, model_tilde, masses = best
-
+    fields = assemble(live, attack_size, rng)
     return Certificate(
-        kind="data-dependent",
+        kind=kind,
         eps=eps,
         rho=rho,
         eta=eta,
         n_clean=n,
         n_steps=T,
         upper_bound=upper,
-        lower_bound=lower,
-        duality_gap=upper - lower,
-        attack=attack,
-        model_tilde=model_tilde,
+        duality_gap=upper - fields["lower_bound"],
         u_trace=u_trace,
         u_pre_trace=u_pre_trace,
         regret_trace=regret_trace,
         steps=records,
         n_skipped=n_skipped,
-        attack_masses=masses,
-        support_violation=worst_support_violation,
+        **fields,
+    )
+
+
+def certify_fixed(
+    D_c: Dataset,
+    F: FeasibleSet,
+    eps: float,
+    rho: float,
+    eta: float | None = None,
+    seed: int = 0,
+    *,
+    steps: int | None = None,
+    rounding_budget: int = 1000,
+    coord_cap=None,
+) -> Certificate:
+    """Certify a fixed (poison-independent) defense.
+
+    Runs T = floor(eps * n) dual-averaging steps (or `steps` if given, in
+    which case the attack points are weight-adjusted when retraining). Each
+    step maximizes the hinge loss over the feasible set at the current
+    iterate, takes the combined clean+attack subgradient, and updates. The
+    returned certificate's bounds satisfy lower <= upper and, for continuous
+    oracles, gap <= regret/T within 1e-6; both are asserted.
+
+    With an integer-wrapped defense the upper bound and gradients come from
+    the continuous relaxation while the emitted attack holds the rounded
+    feasible points; the regret-gap assertion is skipped since rounding may
+    leave a genuine integrality gap.
+    """
+    if F.is_data_dependent:
+        raise ValueError("certify_fixed requires an oracle (fixed) feasible set")
+    params = F.params
+    integer_mode = F.requires_integer
+    weighted = False
+
+    def oracle(theta, step_seed):
+        model = LinearModel(theta, rho)
+        if integer_mode:
+            res = max_loss_integer(F, model, rounding_budget, step_seed, coord_cap=coord_cap)
+        else:
+            res = max_loss_continuous(params, model)
+        # The relaxed optimum carries the bound and the gradient; the attack
+        # keeps res.point, the feasible rounding (None when none was found).
+        p = res.relaxed_point
+        loss = res.relaxed_loss
+        return _OracleStep(p.x[None, :], np.array([p.y]), np.array([eps]), eps * loss, loss, res.point)
+
+    def assemble(live, attack_size, _rng):
+        nonlocal weighted
+        found = [step.result for _, step in live if step.result is not None]
+        attack = Dataset(
+            np.array([p.x for p in found]) if found else np.zeros((0, D_c.d)),
+            np.array([p.y for p in found], dtype=int) if found else np.zeros(0, dtype=int),
+            integer_features=integer_mode,
+        )
+        n = D_c.n
+        # With a `steps` override each attack point carries mass eps*n/attack.n.
+        weighted = steps is not None and attack.n and attack.n != attack_size
+        scale = eps * n / attack.n if weighted else 1.0
+        weights = np.concatenate([np.ones(n), np.full(attack.n, scale)]) if weighted else None
+        model_tilde = train_erm(concat(D_c, attack) if attack.n else D_c, rho, _FIXED_TRAIN, weights=weights)
+        lower = (
+            _hinge_sum(model_tilde.theta, D_c.X, D_c.y)
+            + scale * _hinge_sum(model_tilde.theta, attack.X, attack.y)
+        ) / n
+        misses = len(live) - len(found)
+        notes = [f"{misses} steps produced no feasible integer rounding"] if misses else []
+        return {"lower_bound": lower, "attack": attack, "model_tilde": model_tilde, "notes": notes}
+
+    kind = "integer" if integer_mode else "fixed"
+    cert = _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, _FIXED_TRAIN, oracle, assemble)
+    if cert.n_steps == 0:
+        return cert
+    upper, lower = cert.upper_bound, cert.lower_bound
+    if lower > upper + _SANDWICH_TOL:
+        raise CertificationError(
+            f"lower bound {lower:.9f} exceeds upper bound {upper:.9f} beyond tolerance"
+        )
+    if not integer_mode and not weighted:
+        gap_bound = float(cert.regret_trace[-1]) / cert.n_steps + _SANDWICH_TOL
+        if cert.duality_gap > gap_bound:
+            raise CertificationError(
+                f"duality gap {cert.duality_gap:.9f} exceeds regret bound {gap_bound:.9f}"
+            )
+    return cert
+
+
+def _support_violation(prog, points, mu_p, mu_m, theta):
+    """Constraint violation of the (truncated) support under its own program."""
+    vecs = np.concatenate([points, np.stack([mu_p, mu_m, theta])])
+    G = vecs @ vecs.T
+    return prog.max_violation(G)
+
+
+def _corner_weights(eps):
+    """Boundary supports (some masses exactly zero), tried alongside the
+    simplex samples: they stay feasible when a class has no reachable
+    on-margin point, and the all-off-margin corner realizes a zero-loss
+    attack against models the defense fully protects."""
+    return [
+        sdp_mod.AttackWeights(eps, 0.0, 0.0, 0.0),
+        sdp_mod.AttackWeights(0.0, 0.0, eps, 0.0),
+        sdp_mod.AttackWeights(eps / 2, 0.0, eps / 2, 0.0),
+        sdp_mod.AttackWeights(0.0, eps / 2, 0.0, eps / 2),
+    ]
+
+
+def certify_data_dependent(
+    D_c: Dataset,
+    F: FeasibleSet,
+    eps: float,
+    rho: float,
+    eta: float | None = None,
+    seed: int = 0,
+    *,
+    sdp_samples: int = 20,
+    attack_samples: int = 5,
+    eval_steps: int = 10,
+    steps: int | None = None,
+    sdp_max_iter: int = 20_000,
+) -> Certificate:
+    """Certify the data-dependent defense with the Gram-SDP oracle.
+
+    Each step maximizes the expected hinge loss over attack distributions on
+    at most four points (Monte-Carlo over the weight simplex plus four
+    boundary supports, SDP per weight draw) and feeds the mass-weighted
+    expected subgradient to the learner. Failed SDP steps are skipped
+    without updating the learner; the run fails if more than a tenth of the
+    steps are skipped. Afterwards the `eval_steps` most promising stored
+    distributions each spawn `attack_samples` sampled multisets of
+    floor(eps*n) points; the multiset with the largest retrained training
+    loss becomes the reported attack. No duality assertion is made: the
+    constraint set is non-convex.
+    """
+    if not F.is_data_dependent:
+        raise ValueError("certify_data_dependent requires a data-dependent feasible set")
+    params = F.params
+    stats = class_stats(D_c)
+
+    def oracle(theta, step_seed):
+        # Looked up on the module at call time, so tests can replace it.
+        res = sdp_mod.max_loss_data_dependent(
+            stats,
+            LinearModel(theta, rho),
+            params,
+            eps,
+            sdp_samples,
+            step_seed,
+            extra_weights=_corner_weights(eps),
+            max_iter=sdp_max_iter,
+        )
+        return _OracleStep(res.points, res.labels, res.masses, res.value, res.expected_loss, res)
+
+    def assemble(live, attack_size, rng):
+        # Candidate attacks: sample multisets from the strongest distributions.
+        strongest = sorted(live, key=lambda pair: -pair[1].value)[:eval_steps]
+        n = D_c.n
+        best = None
+        warm_theta = None
+        worst_support_violation = 0.0
+        for theta_t, step in strongest:
+            res = step.result
+            worst_support_violation = max(
+                worst_support_violation,
+                _support_violation(res.program, res.points, stats.mu_plus, stats.mu_minus, theta_t),
+            )
+            masses = res.masses
+            probs = masses / masses.sum() if masses.sum() > 0 else np.full(4, 0.25)
+            for _ in range(attack_samples):
+                counts = rng.multinomial(attack_size, probs)
+                rows = np.repeat(res.points, counts, axis=0)
+                labs = np.repeat(res.labels, counts)
+                D_p = Dataset(rows, labs.astype(int))
+                model_tilde = train_erm(concat(D_c, D_p), rho, _DD_TRAIN, init=warm_theta)
+                warm_theta = model_tilde.theta
+                score = (
+                    _hinge_sum(model_tilde.theta, D_c.X, D_c.y)
+                    + _hinge_sum(model_tilde.theta, D_p.X, D_p.y)
+                ) / n
+                if best is None or score > best[0]:
+                    best = (score, D_p, model_tilde, masses)
+
+        if best is None:
+            raise CertificationError("no attack candidate could be evaluated")
+        lower, attack, model_tilde, masses = best
+        return {
+            "lower_bound": lower,
+            "attack": attack,
+            "model_tilde": model_tilde,
+            "attack_masses": masses,
+            "support_violation": worst_support_violation,
+        }
+
+    return _dual_averaging(
+        "data-dependent", D_c, params, eps, rho, eta, seed, steps, _DD_TRAIN, oracle, assemble
     )

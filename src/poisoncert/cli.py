@@ -195,8 +195,7 @@ def _defense_for(cfg, train):
     )
 
 
-def _run_certify_job(cfg, eps, seed):
-    train, test = _dataset_for(cfg, seed)
+def _run_certify_job(cfg, eps, seed, train, test):
     F = _defense_for(cfg, train)
     rho = cfg["rho"]
     if F.is_data_dependent:
@@ -278,16 +277,18 @@ def cmd_certify(args):
     os.makedirs(out, exist_ok=True)
     chash = _config_hash(cfg)
     jobs = sorted((float(e), int(s)) for e in cfg["eps"] for s in cfg["seeds"])
+    # Each seed's (train, test) pair is read or generated once for all eps.
+    data = {s: _dataset_for(cfg, s) for s in sorted({s for _, s in jobs})}
 
     results = {}
     if cfg["jobs"] > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            futures = {pool.submit(_run_certify_job, cfg, e, s): (e, s) for e, s in jobs}
+            futures = {pool.submit(_run_certify_job, cfg, e, s, *data[s]): (e, s) for e, s in jobs}
             for fut in concurrent.futures.as_completed(futures):
                 results[futures[fut]] = fut.result()
     else:
         for e, s in jobs:
-            results[(e, s)] = _run_certify_job(cfg, e, s)
+            results[(e, s)] = _run_certify_job(cfg, e, s, *data[s])
 
     lines = [SWEEP_HEADER]
     for e, s in jobs:
@@ -347,7 +348,7 @@ def cmd_attack(args):
         attack = res.dataset
         report["clean_loss_trace"] = [float(v) for v in res.clean_loss_trace]
     elif kind == "certificate":
-        row, cert = _run_certify_job(cfg, eps, seed)
+        row, cert = _run_certify_job(cfg, eps, seed, train, test)
         attack = cert.attack
         report["upper_bound"] = cert.upper_bound
         report["lower_bound"] = cert.lower_bound

@@ -120,25 +120,12 @@ class Dataset:
     def point(self, i):
         return LabeledPoint(self.X[i], int(self.y[i]), self.integer_features)
 
-    def points(self):
-        return [self.point(i) for i in range(self.n)]
-
     def subset(self, idx):
         idx = np.asarray(idx)
         return Dataset(self.X[idx], self.y[idx], self.integer_features)
 
     def class_mask(self, label):
         return self.y == label
-
-    @staticmethod
-    def from_points(points, d=None, integer_features=False):
-        if not points:
-            if d is None:
-                raise ValueError("d is required for an empty dataset")
-            return Dataset(np.zeros((0, d)), np.zeros(0, dtype=int), integer_features)
-        X = np.stack([p.x for p in points])
-        y = np.array([p.y for p in points])
-        return Dataset(X, y, integer_features)
 
 
 def concat(a: Dataset, b: Dataset) -> Dataset:

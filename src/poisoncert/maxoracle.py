@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledPoint
-from .defense import MEMBERSHIP_ATOL, FeasibleSet, SphereSlabParams, membership
+from .data import Dataset, LabeledPoint, _is_nonneg_integral
+from .defense import MEMBERSHIP_ATOL, FeasibleSet, SphereSlabParams, membership_mask
 from .model import LinearModel
 
 __all__ = [
@@ -171,6 +171,29 @@ def _repair_integer(x, params, y, max_steps=200):
     return None
 
 
+def _best_rounding(wrapped, theta, cands, y):
+    """First candidate of highest hinge loss that passes the defense, rejected
+    rows replaced by their repair; (None, -inf) when none passes."""
+    labels = np.full(cands.shape[0], y)
+    ok = membership_mask(wrapped, Dataset(cands, labels))
+    losses = np.where(ok, np.maximum(0.0, 1.0 - y * (cands @ theta)), -np.inf)
+    repaired = {}
+    for i in np.flatnonzero(~ok):
+        x = _repair_integer(cands[i], wrapped.params, y)
+        if x is not None:
+            repaired[int(i)] = x
+    if repaired:
+        R = np.array(list(repaired.values()))
+        good = membership_mask(wrapped, Dataset(R, labels[: len(R)]))
+        losses[list(repaired)] = np.where(good, np.maximum(0.0, 1.0 - y * (R @ theta)), -np.inf)
+    j = int(np.argmax(losses))
+    if losses[j] == -np.inf:
+        return None, -np.inf
+    # A copy: a row view would keep the whole candidate matrix alive.
+    x = repaired.get(j, cands[j]).copy()
+    return LabeledPoint(x, y, integer_features=True), max(0.0, 1.0 - y * float(theta @ x))
+
+
 def max_loss_integer(
     F: SphereSlabParams | FeasibleSet,
     model: LinearModel,
@@ -187,8 +210,8 @@ def max_loss_integer(
     rounded down or up with probability equal to its fractional part, clipped
     to [0, coord_cap]; infeasible samples are repaired by greedy coordinate
     moves toward the class centroid and discarded if repair fails. Returns the
-    feasible candidate of highest hinge loss, or no_candidate=True when none
-    was found within the budget.
+    feasible candidate of highest hinge loss (the first one on ties), or
+    no_candidate=True when none was found within the budget.
     """
     params = F.params if isinstance(F, FeasibleSet) else F
     if budget < 1:
@@ -206,46 +229,22 @@ def max_loss_integer(
         x_star = np.maximum(entry.point.x, 0.0)
         if cap is not None:
             x_star = np.minimum(x_star, cap)
-        candidates = [np.round(x_star)] if _looks_integral(entry.point.x) else []
-        raw = _round_candidates(rng, x_star, budget)
-        class_best = None
-        class_loss = -np.inf
-        for cand in candidates + list(raw):
-            cand = np.maximum(cand, 0.0)
-            if cap is not None:
-                cand = np.minimum(cand, cap)
-            p = LabeledPoint(cand, y, integer_features=True)
-            if not membership(wrapped, p):
-                repaired = _repair_integer(cand, params, y)
-                if repaired is None:
-                    continue
-                p = LabeledPoint(repaired, y, integer_features=True)
-                if not membership(wrapped, p):
-                    continue
-            loss = max(0.0, 1.0 - p.y * float(model.theta @ p.x))
-            if loss > class_loss:
-                class_loss, class_best = loss, p
+        cands = _round_candidates(rng, x_star, budget)
+        if _is_nonneg_integral(entry.point.x):
+            cands = np.vstack([np.round(x_star), cands])
+        cands = np.maximum(cands, 0.0)
+        if cap is not None:
+            cands = np.minimum(cands, cap)
+        class_best, class_loss = _best_rounding(wrapped, model.theta, cands, y)
         per_class.append(ClassBest(y=y, point=class_best, loss=class_loss if class_best else 0.0))
         if class_best is not None and class_loss > best_loss:
             best_loss, best_point = class_loss, class_best
 
-    if best_point is None:
-        return OracleResult(
-            point=None,
-            loss=relaxed.loss,
-            relaxed_loss=relaxed.loss,
-            relaxed_point=relaxed.point,
-            by_class=tuple(per_class),
-            no_candidate=True,
-        )
     return OracleResult(
         point=best_point,
-        loss=best_loss,
+        loss=relaxed.loss if best_point is None else best_loss,
         relaxed_loss=relaxed.loss,
         relaxed_point=relaxed.point,
         by_class=tuple(per_class),
+        no_candidate=best_point is None,
     )
-
-
-def _looks_integral(x):
-    return bool(np.all(x >= -1e-9) and np.all(np.abs(x - np.round(x)) <= 1e-9))

@@ -50,6 +50,11 @@ A_PLUS, A_MINUS, B_PLUS, B_MINUS, MU_PLUS, MU_MINUS, THETA = range(7)
 
 _ATTACK_LABELS = (1, -1, 1, -1)
 
+# solve_sdp: ADMM over-relaxation, iterations per residual check, polish stop.
+_OVER_RELAX = 1.6
+_CHECK_EVERY = 25
+_POLISH_TARGET = 1e-12
+
 
 class RecoveryError(ValueError):
     """The Gram matrix does not factor into vectors within tolerance."""
@@ -303,10 +308,7 @@ def solve_sdp(
     max_iter: int = 100_000,
     *,
     warm: tuple | None = None,
-    over_relax: float = 1.6,
-    check_every: int = 25,
     polish_iters: int = 5000,
-    polish_target: float = 1e-12,
 ) -> SdpSolution:
     """Maximize the program's linear objective over the PSD cone by ADMM.
 
@@ -392,10 +394,10 @@ def solve_sdp(
     it = 0
     for it in range(1, max_iter + 1):
         x = proj_affine(v - u - f / sigma)
-        xr = over_relax * x + (1.0 - over_relax) * v
+        xr = _OVER_RELAX * x + (1.0 - _OVER_RELAX) * v
         v_new = cone_project(xr + u)
         u = u + xr - v_new
-        if it % check_every == 0 or it == max_iter:
+        if it % _CHECK_EVERY == 0 or it == max_iter:
             r_prim = float(np.linalg.norm(x - v_new)) / (1.0 + float(np.linalg.norm(v_new)))
             r_dual = sigma * float(np.linalg.norm(v_new - v)) / (1.0 + float(np.linalg.norm(v_new)))
             v = v_new
@@ -409,7 +411,7 @@ def solve_sdp(
                 best_rp = r_prim
                 since_improve = 0
             else:
-                since_improve += check_every
+                since_improve += _CHECK_EVERY
             if since_improve >= stall_window and r_prim > 50 * tol and r_dual < 1e-3 * r_prim:
                 status = "infeasible"
                 break
@@ -435,7 +437,7 @@ def solve_sdp(
                 max(0.0, -float(np.linalg.eigvalsh(Gk).min())),
                 float(np.min(p[m_sv:], initial=0.0)) * -1.0,
             )
-            if gap <= polish_target:
+            if gap <= _POLISH_TARGET:
                 break
     G = _sym(_smat(p[:m_sv], n, iu, vscale)) * D_out
 

@@ -6,6 +6,10 @@ enumeration) and kept free of the code paths it checks.
 
 import numpy as np
 
+from poisoncert import FeasibleSet, LabeledPoint, max_loss_continuous, membership
+from poisoncert.data import _is_nonneg_integral
+from poisoncert.maxoracle import _repair_integer, _round_candidates
+
 
 def loop_class_stats(ds):
     """Per-class means by plain python accumulation."""
@@ -143,3 +147,48 @@ def grid_min_averaged_objective(D_c, attack, eps, rho, grid_n=200):
         att = np.maximum(0.0, 1.0 - attack.y[:, None] * (attack.X @ block.T)).mean(axis=0)
         best = min(best, float((clean + eps * att).min()))
     return best
+
+
+def loop_max_loss_integer(params, model, budget, seed, coord_cap=None):
+    """The integer oracle one candidate at a time: a LabeledPoint and a
+    `membership` call per rounding, repair on rejection, strict `>` so the
+    first best candidate wins. Shares the relaxation, the random roundings and
+    the repair walk with the vectorized oracle; checks its batching.
+
+    Returns (x or None, loss, label, number of successful repairs).
+    """
+    wrapped = FeasibleSet(kind="integer-wrapped", params=params)
+    theta = model.theta
+    relaxed = max_loss_continuous(params, model)
+    rng = np.random.default_rng(seed)
+    cap = None if coord_cap is None else np.asarray(coord_cap, dtype=float)
+    best, best_loss, repairs = None, -np.inf, 0
+    for entry in relaxed.by_class:
+        y = entry.y
+        x_star = np.maximum(entry.point.x, 0.0)
+        if cap is not None:
+            x_star = np.minimum(x_star, cap)
+        first = [np.round(x_star)] if _is_nonneg_integral(entry.point.x) else []
+        class_best, class_loss = None, -np.inf
+        for cand in first + list(_round_candidates(rng, x_star, budget)):
+            cand = np.maximum(cand, 0.0)
+            if cap is not None:
+                cand = np.minimum(cand, cap)
+            p = LabeledPoint(cand, y, integer_features=True)
+            if not membership(wrapped, p):
+                repaired = _repair_integer(cand, params, y)
+                if repaired is None:
+                    continue
+                p = LabeledPoint(repaired, y, integer_features=True)
+                if not membership(wrapped, p):
+                    continue
+                repairs += 1
+            loss = max(0.0, 1.0 - y * float(theta @ p.x))
+            if loss > class_loss:
+                class_loss, class_best = loss, p
+        if class_best is not None and class_loss > best_loss:
+            best_loss, best = class_loss, class_best
+    if best is None:
+        return None, relaxed.loss, None, repairs
+    return best.x, best_loss, best.y, repairs
+

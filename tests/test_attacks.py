@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from poisoncert import (
-    AttackSpec,
     Dataset,
     FeasibleSet,
     GaussianSpec,
@@ -115,11 +114,3 @@ class TestGradientAttack:
         ) / ds.n
         assert cert.lower_bound >= grad_induced - 5e-3
 
-
-def test_attack_spec_validation():
-    with pytest.raises(ValueError):
-        AttackSpec(kind="bogus", eps=0.1)
-    with pytest.raises(ValueError):
-        AttackSpec(kind="label-flip", eps=0.0)
-    spec = AttackSpec(kind="gradient", eps=0.2, seed=1)
-    assert spec.steps > 0

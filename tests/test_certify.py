@@ -240,6 +240,19 @@ class TestCertifyDataDependent:
             certify_data_dependent(ds, F, eps=0.25, rho=2.0, sdp_samples=2)
 
 
+@pytest.mark.parametrize(
+    "certify, kind", [(certify_fixed, "oracle"), (certify_data_dependent, "data-dependent")]
+)
+@pytest.mark.parametrize("case", ["negative-eps", "dimension-mismatch", "no-attack-budget"])
+def test_entry_points_reject_bad_input(certify, kind, case):
+    ds, F = gaussian_fixture(n=20, kind=kind)
+    eps = {"negative-eps": -0.1, "dimension-mismatch": 0.5, "no-attack-budget": 0.01}[case]
+    if case == "dimension-mismatch":
+        ds = Dataset(np.hstack([ds.X, ds.X[:, :1]]), ds.y)
+    with pytest.raises(ValueError):
+        certify(ds, F, eps=eps, rho=1.0)
+
+
 def test_certificate_json_round_trip_fields():
     ds, F = gaussian_fixture(n=200, seed=3)
     cert = certify_fixed(ds, F, eps=0.1, rho=1.5)

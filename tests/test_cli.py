@@ -135,6 +135,24 @@ class TestCertify:
         assert cert["kind"] == "data-dependent"
         assert cert["upper_bound"] >= cert["lower_bound"]
 
+    def test_file_dataset_read_once_per_run(self, tmp_path, monkeypatch):
+        from poisoncert import cli
+
+        data = tmp_path / "data"
+        assert run(["gen-data", "--n", "300", "--data-seed", "1", "--out", str(data)]) == 0
+        calls = []
+
+        def counting_load(path, *args, **kwargs):
+            calls.append(path)
+            return load_dataset(path, *args, **kwargs)
+
+        load_dataset = cli.load_dataset
+        monkeypatch.setattr(cli, "load_dataset", counting_load)
+        files = {"train": str(data / "train.csv"), "test": str(data / "test.csv")}
+        cfg = base_config(tmp_path, eps=[0.05, 0.1], dataset={"kind": "file", **files})
+        assert run(["certify", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+        assert sorted(calls) == sorted(files.values())
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = base_config(tmp_path, eps=[0.05, 0.1])
         out_a, out_b = tmp_path / "serial", tmp_path / "parallel"

@@ -11,7 +11,7 @@ from poisoncert import (
     membership,
 )
 
-from oracles import enumerate_integer_max, grid_max_hinge_fixed, random_feasible_points
+from oracles import enumerate_integer_max, grid_max_hinge_fixed, loop_max_loss_integer, random_feasible_points
 
 
 def params_2d(r=1.0, s=0.5):
@@ -280,3 +280,32 @@ class TestInteger:
         res = max_loss_integer(params, model, budget=100, seed=0)
         assert res.no_candidate and res.point is None
         assert res.loss == pytest.approx(res.relaxed_loss)
+
+    def test_matches_per_candidate_reference(self):
+        # Same point and loss as checking each rounding on its own, with and
+        # without a coordinate cap. Shrunken radii on every other instance
+        # make most roundings fail, so repaired points win or none survives.
+        rng = np.random.default_rng(53)
+        repairs = capped = empty = 0
+        for k in range(40):
+            d = int(rng.integers(2, 6))
+            p = integer_params(rng, d)
+            shrink = 0.4 if k % 2 else 1.0
+            params = SphereSlabParams(
+                p.mu_plus, p.mu_minus, shrink * p.r_plus, shrink * p.r_minus, p.s_plus, p.s_minus
+            )
+            model = LinearModel(rng.standard_normal(d), 10.0)
+            cap = np.full(d, 3.0) if k % 4 >= 2 else None
+            capped += cap is not None
+            seed = int(rng.integers(0, 1000))
+            x, loss, y, n_rep = loop_max_loss_integer(params, model, 150, seed, coord_cap=cap)
+            res = max_loss_integer(params, model, budget=150, seed=seed, coord_cap=cap)
+            repairs += n_rep
+            if x is None:
+                empty += 1
+                assert res.no_candidate and res.point is None
+            else:
+                assert res.point.y == y
+                assert np.array_equal(res.point.x, x)
+                assert res.loss == loss
+        assert repairs > 0 and capped > 0 and empty > 0
