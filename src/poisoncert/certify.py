@@ -408,7 +408,7 @@ def certify_fixed(
     returned certificate's bounds satisfy lower <= upper and, for continuous
     oracles, gap <= regret/T within 1e-6; both are asserted.
 
-    With an integer-wrapped defense the upper bound and gradients come from
+    With `F.integer_features` set the upper bound and gradients come from
     the continuous relaxation while the emitted attack holds the rounded
     feasible points; the regret-gap assertion is skipped since rounding may
     leave a genuine integrality gap.
@@ -416,7 +416,7 @@ def certify_fixed(
     if F.is_data_dependent:
         raise ValueError("certify_fixed requires an oracle (fixed) feasible set")
     params = F.params
-    integer_mode = F.requires_integer
+    integer_mode = F.integer_features
     weighted = False
 
     def oracle(theta, step_seed):

@@ -219,7 +219,7 @@ def _run_certify_job(cfg, eps, seed, train, test):
             cfg["eta"],
             seed,
             rounding_budget=cfg["rounding_budget"],
-            coord_cap=train.X.max(axis=0) if F.requires_integer else None,
+            coord_cap=train.X.max(axis=0) if F.integer_features else None,
         )
     clean_train = evaluate(cert.model_tilde, train).avg_hinge
     if test is not None and test.n:

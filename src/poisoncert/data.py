@@ -48,7 +48,8 @@ class StatsError(ValueError):
 
 
 def _frozen_array(a, dtype=float):
-    out = np.ascontiguousarray(a, dtype=dtype)
+    """Read-only contiguous view of `a`; the caller's own array stays writeable."""
+    out = np.ascontiguousarray(a, dtype=dtype).view()
     out.flags.writeable = False
     return out
 
@@ -85,8 +86,9 @@ class LabeledPoint:
 class Dataset:
     """An ordered set of labeled points stored as a dense (n, d) matrix.
 
-    Immutable after construction; the backing arrays are marked read-only so
-    instances can be shared across parallel workers.
+    Immutable after construction: it holds read-only views (of the caller's
+    arrays when no dtype or layout conversion is needed, so later writes to
+    those show through), and instances can be shared across parallel workers.
     """
 
     X: np.ndarray

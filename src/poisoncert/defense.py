@@ -4,8 +4,9 @@ A defense is a membership predicate built from per-class sphere radii
 (distance to the class centroid) and slab half-widths (projection onto the
 line between the centroids). Oracle defenses keep fixed centroids; the
 data-dependent variant recomputes centroids from the poisoned mass while
-holding the clean-calibrated thresholds fixed. An integer wrapper additionally
-requires non-negative integer coordinates (text-style count features).
+holding the clean-calibrated thresholds fixed. With `integer_features` set,
+membership additionally requires non-negative integer coordinates
+(text-style count features).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import ClassStats, Dataset, LabeledPoint, StatsError, _is_nonneg_integral
+from .data import ClassStats, Dataset, LabeledPoint, StatsError, _frozen_array, _is_nonneg_integral
 
 __all__ = [
     "SphereSlabParams",
@@ -27,7 +28,7 @@ __all__ = [
     "recompute_data_dependent",
 ]
 
-KINDS = ("oracle", "data-dependent", "integer-wrapped")
+KINDS = ("oracle", "data-dependent")
 
 MEMBERSHIP_ATOL = 1e-9
 
@@ -46,8 +47,8 @@ class SphereSlabParams:
     use_slab: bool = True
 
     def __post_init__(self):
-        mu_p = np.ascontiguousarray(self.mu_plus, dtype=float)
-        mu_m = np.ascontiguousarray(self.mu_minus, dtype=float)
+        mu_p = _frozen_array(self.mu_plus)
+        mu_m = _frozen_array(self.mu_minus)
         if mu_p.shape != mu_m.shape or mu_p.ndim != 1:
             raise ValueError("centroids must be 1-d vectors of equal dimension")
         for name in ("r_plus", "r_minus", "s_plus", "s_minus"):
@@ -55,8 +56,6 @@ class SphereSlabParams:
                 raise ValueError(f"{name} must be non-negative")
         if not (self.use_sphere or self.use_slab):
             raise ValueError("at least one of sphere/slab must be enabled")
-        mu_p.flags.writeable = False
-        mu_m.flags.writeable = False
         object.__setattr__(self, "mu_plus", mu_p)
         object.__setattr__(self, "mu_minus", mu_m)
 
@@ -95,10 +94,6 @@ class FeasibleSet:
     def is_data_dependent(self):
         return self.kind == "data-dependent"
 
-    @property
-    def requires_integer(self):
-        return self.integer_features or self.kind == "integer-wrapped"
-
 
 def _constraint_slacks(params: SphereSlabParams, X, label):
     """Signed slacks (value - threshold) for each enabled constraint; <= 0 is feasible."""
@@ -120,7 +115,7 @@ def membership(F: FeasibleSet, p: LabeledPoint, atol: float = MEMBERSHIP_ATOL) -
     """
     if p.d != F.params.d:
         raise ValueError(f"dimension mismatch: point d={p.d}, defense d={F.params.d}")
-    if F.requires_integer and not _is_nonneg_integral(p.x):
+    if F.integer_features and not _is_nonneg_integral(p.x):
         return False
     X = p.x[None, :]
     return all(s[0] <= atol for s in _constraint_slacks(F.params, X, p.y))
@@ -131,7 +126,7 @@ def membership_mask(F: FeasibleSet, ds: Dataset, atol: float = MEMBERSHIP_ATOL) 
     if ds.d != F.params.d:
         raise ValueError(f"dimension mismatch: data d={ds.d}, defense d={F.params.d}")
     ok = np.ones(ds.n, dtype=bool)
-    if F.requires_integer and ds.n:
+    if F.integer_features and ds.n:
         ok &= (ds.X >= -1e-9).all(axis=1)
         ok &= (np.abs(ds.X - np.round(ds.X)) <= 1e-9).all(axis=1)
     for label in (1, -1):

@@ -220,7 +220,7 @@ def max_loss_integer(
     rng = np.random.default_rng(seed)
     cap = None if coord_cap is None else np.asarray(coord_cap, dtype=float)
 
-    wrapped = FeasibleSet(kind="integer-wrapped", params=params)
+    wrapped = FeasibleSet(kind="oracle", params=params, integer_features=True)
     best_point = None
     best_loss = -np.inf
     per_class = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, LabeledPoint
+from .data import Dataset, LabeledPoint, _frozen_array
 
 __all__ = [
     "LinearModel",
@@ -41,7 +41,7 @@ class LinearModel:
     rho: float
 
     def __post_init__(self):
-        theta = np.ascontiguousarray(self.theta, dtype=float)
+        theta = _frozen_array(self.theta)
         if theta.ndim != 1:
             raise ValueError("theta must be a 1-d vector")
         if self.rho <= 0:
@@ -49,7 +49,6 @@ class LinearModel:
         nrm = float(np.linalg.norm(theta))
         if nrm > self.rho * (1 + _NORM_RTOL):
             raise ValueError(f"||theta|| = {nrm} exceeds rho = {self.rho}")
-        theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "rho", float(self.rho))
 
@@ -110,16 +109,15 @@ def evaluate(model: LinearModel, ds: Dataset) -> LossReport:
 class TrainConfig:
     """Settings for the staged projected-subgradient solver.
 
-    Within a stage the step is gamma_k / sqrt(t); between stages gamma is
-    scaled by `decay` and the search restarts from the best iterate so far.
-    Stops once a full stage improves the best objective by less than `tol`.
+    Within a stage the step is gamma_k / sqrt(t), with gamma_0 = rho over the
+    weighted mean point norm; between stages gamma halves and the search
+    restarts from the best iterate so far. Stops once a full stage improves
+    the best objective by less than `tol`.
     """
 
     stage_iters: int = 1200
     max_stages: int = 18
-    decay: float = 0.5
     tol: float = 1e-4
-    step_scale: float | None = None
 
 
 def _weighted_objective_grad(theta, X, yv, wn):
@@ -164,7 +162,7 @@ def train_erm(
         raise ValueError("rho must be positive")
 
     grad_scale = max(float(wn @ np.linalg.norm(X, axis=1)), 1e-12)
-    gamma0 = cfg.step_scale if cfg.step_scale is not None else rho / grad_scale
+    gamma0 = rho / grad_scale
 
     if init is not None:
         theta = np.array(init, dtype=float)
@@ -179,7 +177,7 @@ def train_erm(
 
     converged = False
     for stage in range(cfg.max_stages):
-        gamma = gamma0 * cfg.decay**stage
+        gamma = gamma0 * 0.5**stage
         theta = best_theta.copy()
         theta_sum = np.zeros(ds.d)
         stage_start_best = best_obj

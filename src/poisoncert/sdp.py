@@ -14,9 +14,8 @@ the weight simplex by Monte Carlo.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +49,11 @@ A_PLUS, A_MINUS, B_PLUS, B_MINUS, MU_PLUS, MU_MINUS, THETA = range(7)
 
 _ATTACK_LABELS = (1, -1, 1, -1)
 
-# solve_sdp: ADMM over-relaxation, iterations per residual check, polish stop.
+# solve_sdp: ADMM over-relaxation, iterations per residual check, polish
+# rounds and their stop.
 _OVER_RELAX = 1.6
 _CHECK_EVERY = 25
+_POLISH_ITERS = 5000
 _POLISH_TARGET = 1e-12
 
 
@@ -95,13 +96,6 @@ def _sym(M):
     return (M + M.T) / 2.0
 
 
-def _pair(i, j, n):
-    E = np.zeros((n, n))
-    E[i, j] += 0.5
-    E[j, i] += 0.5
-    return E
-
-
 def psd_project(S: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: clip negative eigenvalues."""
     w, Q = np.linalg.eigh(_sym(S))
@@ -111,34 +105,55 @@ def psd_project(S: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GramProgram:
-    """Maximize <obj_coeff, G> + obj_const over PSD G with linear constraints."""
+    """Maximize <obj_coeff, G> + obj_const over PSD G subject to
+    <eq_mats[k], G> = eq_rhs[k] and <ineq_mats[k], G> <= ineq_rhs[k].
+
+    Constraints are stacked (k, size, size) arrays; lists of matrices are
+    stacked on construction. `known_gram`, when given, is the Gram matrix of
+    the trailing known vectors: the solver reports a non-PSD one infeasible
+    and cleans its null directions out of the solution. `var_scale` holds
+    per-variable scales for the solver's diagonal preconditioning.
+
+    build_gram_program emits its rows in a fixed order, which the solver's
+    iterates depend on: the six equalities pin G[i, j] for i <= j over
+    (mu_+, mu_-, theta); then, for each of a+, a-, b+, b- in turn, the
+    inequalities sphere, slab+, slab- and, only when the point carries
+    mass, its margin row.
+    """
 
     size: int
     obj_const: float
     obj_coeff: np.ndarray
-    eq_mats: list
+    eq_mats: np.ndarray
     eq_rhs: np.ndarray
-    ineq_mats: list
+    ineq_mats: np.ndarray
     ineq_rhs: np.ndarray
-    names: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    known_gram: np.ndarray | None = None
+    var_scale: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = self.size
+        self.eq_mats = np.asarray(self.eq_mats, dtype=float).reshape(-1, n, n)
+        self.ineq_mats = np.asarray(self.ineq_mats, dtype=float).reshape(-1, n, n)
+        self.eq_rhs = np.asarray(self.eq_rhs, dtype=float)
+        self.ineq_rhs = np.asarray(self.ineq_rhs, dtype=float)
 
     def objective_value(self, G):
         return self.obj_const + float(np.sum(self.obj_coeff * G))
 
     def eq_values(self, G):
-        return np.array([float(np.sum(A * G)) for A in self.eq_mats])
+        return (self.eq_mats * G).sum(axis=(1, 2))
 
     def ineq_values(self, G):
-        return np.array([float(np.sum(B * G)) for B in self.ineq_mats])
+        return (self.ineq_mats * G).sum(axis=(1, 2))
 
     def max_violation(self, G):
         """Largest relative constraint violation at G (cone not included)."""
         viol = 0.0
-        if self.eq_mats:
+        if len(self.eq_mats):
             scale = np.maximum(1.0, np.abs(self.eq_rhs))
             viol = max(viol, float(np.max(np.abs(self.eq_values(G) - self.eq_rhs) / scale)))
-        if self.ineq_mats:
+        if len(self.ineq_mats):
             scale = np.maximum(1.0, np.abs(self.ineq_rhs))
             viol = max(viol, float(np.max((self.ineq_values(G) - self.ineq_rhs) / scale)))
         return viol
@@ -169,69 +184,44 @@ def build_gram_program(
         if q[label] <= 0:
             raise ValueError(f"zero total mass for class {label}")
 
-    def e(i):
-        out = np.zeros(n)
-        out[i] = 1.0
-        return out
-
+    e = np.eye(n)
     # Coefficient vectors of mu_hat_y in the 7-vector basis.
     w_hat = {
-        1: (w.pi_a_plus * e(A_PLUS) + w.pi_b_plus * e(B_PLUS) + stats.p_plus * e(MU_PLUS)) / q[1],
-        -1: (w.pi_a_minus * e(A_MINUS) + w.pi_b_minus * e(B_MINUS) + stats.p_minus * e(MU_MINUS)) / q[-1],
+        1: (w.pi_a_plus * e[A_PLUS] + w.pi_b_plus * e[B_PLUS] + stats.p_plus * e[MU_PLUS]) / q[1],
+        -1: (w.pi_a_minus * e[A_MINUS] + w.pi_b_minus * e[B_MINUS] + stats.p_minus * e[MU_MINUS]) / q[-1],
     }
-    point_idx = {("a", 1): A_PLUS, ("a", -1): A_MINUS, ("b", 1): B_PLUS, ("b", -1): B_MINUS}
 
-    eq_mats, eq_rhs, eq_names = [], [], []
-    known = {MU_PLUS: mu_p, MU_MINUS: mu_m, THETA: th}
-    for i in (MU_PLUS, MU_MINUS, THETA):
-        for j in (MU_PLUS, MU_MINUS, THETA):
-            if j < i:
-                continue
-            eq_mats.append(_pair(i, j, n))
-            eq_rhs.append(float(known[i] @ known[j]))
-            eq_names.append(f"gram[{i},{j}]")
+    known = (mu_p, mu_m, th)
+    known_gram = np.array([[a @ b for b in known] for a in known])
+    iu = np.triu_indices(3)
+    eq_mats = [_sym(np.outer(e[MU_PLUS + i], e[MU_PLUS + j])) for i, j in zip(*iu)]
 
-    masses = {("a", 1): w.pi_a_plus, ("a", -1): w.pi_a_minus, ("b", 1): w.pi_b_plus, ("b", -1): w.pi_b_minus}
-    ineq_mats, ineq_rhs, ineq_names = [], [], []
-    for kind, label in point_idx:
-        i = point_idx[(kind, label)]
-        u = e(i) - w_hat[label]
+    ineq_mats, ineq_rhs = [], []
+    for i, label, mass in zip((A_PLUS, A_MINUS, B_PLUS, B_MINUS), _ATTACK_LABELS, w.in_variable_order()):
+        u = e[i] - w_hat[label]
         if F.use_sphere:
             ineq_mats.append(_sym(np.outer(u, u)))
             ineq_rhs.append(F.r(label) ** 2)
-            ineq_names.append(f"sphere[{kind},{label:+d}]")
         if F.use_slab:
-            z = w_hat[label] - w_hat[-label]
-            M = _sym(np.outer(u, z))
-            ineq_mats.append(M)
-            ineq_rhs.append(F.s(label))
-            ineq_names.append(f"slab+[{kind},{label:+d}]")
-            ineq_mats.append(-M)
-            ineq_rhs.append(F.s(label))
-            ineq_names.append(f"slab-[{kind},{label:+d}]")
+            M = _sym(np.outer(u, w_hat[label] - w_hat[-label]))
+            ineq_mats += [M, -M]
+            ineq_rhs += [F.s(label), F.s(label)]
         # Margin side conditions bind only points that carry attack mass: a
         # zero-mass point is a phantom whose placement must not restrict the
         # program (with all masses zero the constraints reduce to the clean
-        # sphere/slab alone).
-        if masses[(kind, label)] <= 0:
+        # sphere/slab alone). On-margin a-points keep y<theta, x> <= 1 (loss
+        # stays active); off-margin b-points keep y<theta, x> >= 1 (loss
+        # stays zero).
+        if mass <= 0:
             continue
-        margin = _sym(np.outer(e(THETA), e(i))) * label
-        if kind == "a":
-            ineq_mats.append(margin)  # y<theta, x_a> <= 1: loss stays active
-            ineq_rhs.append(1.0)
-            ineq_names.append(f"margin-on[{label:+d}]")
-        else:
-            ineq_mats.append(-margin)  # y<theta, x_b> >= 1: loss stays zero
-            ineq_rhs.append(-1.0)
-            ineq_names.append(f"margin-off[{label:+d}]")
+        side = 1.0 if i in (A_PLUS, A_MINUS) else -1.0
+        ineq_mats.append(side * label * _sym(np.outer(e[THETA], e[i])))
+        ineq_rhs.append(side)
 
-    C = -w.pi_a_plus * _sym(np.outer(e(THETA), e(A_PLUS)))
-    C = C + w.pi_a_minus * _sym(np.outer(e(THETA), e(A_MINUS)))
+    C = -w.pi_a_plus * _sym(np.outer(e[THETA], e[A_PLUS]))
+    C = C + w.pi_a_minus * _sym(np.outer(e[THETA], e[A_MINUS]))
     const = w.pi_a_plus + w.pi_a_minus
 
-    known_gram = np.array(
-        [[mu_p @ mu_p, mu_p @ mu_m, mu_p @ th], [mu_p @ mu_m, mu_m @ mu_m, mu_m @ th], [mu_p @ th, mu_m @ th, th @ th]]
-    )
     # Per-variable scales for the solver's diagonal preconditioning: without
     # this a small ||theta|| leaves a near-zero Gram row whose tangent cone
     # geometry stalls first-order iterations.
@@ -256,11 +246,11 @@ def build_gram_program(
         obj_const=const,
         obj_coeff=C,
         eq_mats=eq_mats,
-        eq_rhs=np.array(eq_rhs),
+        eq_rhs=known_gram[iu],
         ineq_mats=ineq_mats,
-        ineq_rhs=np.array(ineq_rhs),
-        names=eq_names + ineq_names,
-        meta={"weights": w, "known_gram": known_gram, "q": q, "var_scale": var_scale},
+        ineq_rhs=ineq_rhs,
+        known_gram=known_gram,
+        var_scale=var_scale,
     )
 
 
@@ -278,7 +268,8 @@ def _svec_index(n):
 
 
 def _svec(S, iu, scale):
-    return S[iu] * scale
+    """svec of a symmetric matrix, or of each matrix in a (k, n, n) stack."""
+    return S[..., iu[0], iu[1]] * scale
 
 
 def _smat(v, n, iu, scale):
@@ -308,7 +299,6 @@ def solve_sdp(
     max_iter: int = 100_000,
     *,
     warm: tuple | None = None,
-    polish_iters: int = 5000,
 ) -> SdpSolution:
     """Maximize the program's linear objective over the PSD cone by ADMM.
 
@@ -323,10 +313,10 @@ def solve_sdp(
     n = prog.size
     iu, vscale = _svec_index(n)
     m_sv = len(vscale)
-    n_in = len(prog.ineq_mats)
+    n_eq, n_in = len(prog.eq_mats), len(prog.ineq_mats)
     dim = m_sv + n_in
 
-    kg = prog.meta.get("known_gram")
+    kg = prog.known_gram
     if kg is not None:
         wmin = float(np.linalg.eigvalsh(_sym(kg)).min())
         if wmin < -1e-8 * (1.0 + float(np.trace(kg))):
@@ -334,42 +324,24 @@ def solve_sdp(
 
     # Diagonal preconditioning: solve over Gt with G = D Gt D. The cone is
     # invariant under the congruence and constraints map via A -> D A D.
-    dscale = np.asarray(prog.meta.get("var_scale", np.ones(n)), dtype=float)
-    D_out = np.outer(dscale, dscale)
+    D_out = np.ones((n, n)) if prog.var_scale is None else np.outer(prog.var_scale, prog.var_scale)
 
-    def scaled(A):
-        return A * D_out
+    # One row per constraint: svec of the scaled matrix, then the slack
+    # block (zero for equalities, identity for inequalities).
+    M = np.zeros((n_eq + n_in, dim))
+    M[:, :m_sv] = _svec(np.concatenate([prog.eq_mats, prog.ineq_mats]) * D_out, iu, vscale)
+    M[n_eq:, m_sv:] = np.eye(n_in)
+    norms = np.maximum(np.linalg.norm(M, axis=1), 1e-12)
+    M /= norms[:, None]
+    qv = np.concatenate([prog.eq_rhs, prog.ineq_rhs]) / norms
+    L = np.linalg.cholesky(M @ M.T + 1e-12 * np.eye(M.shape[0]))
 
-    rows = []
-    rhs = []
-    for A, b in zip(prog.eq_mats, prog.eq_rhs):
-        rows.append(np.concatenate([_svec(scaled(A), iu, vscale), np.zeros(n_in)]))
-        rhs.append(b)
-    for k, (B, c) in enumerate(zip(prog.ineq_mats, prog.ineq_rhs)):
-        slack = np.zeros(n_in)
-        slack[k] = 1.0
-        rows.append(np.concatenate([_svec(scaled(B), iu, vscale), slack]))
-        rhs.append(c)
-    M = np.array(rows) if rows else np.zeros((0, dim))
-    qv = np.array(rhs)
-    if len(rows):
-        norms = np.maximum(np.linalg.norm(M, axis=1), 1e-12)
-        M /= norms[:, None]
-        qv = qv / norms
-        MMt = M @ M.T
-        L = np.linalg.cholesky(MMt + 1e-12 * np.eye(M.shape[0]))
+    def proj_affine(p):
+        resid = M @ p - qv
+        lam = np.linalg.solve(L.T, np.linalg.solve(L, resid))
+        return p - M.T @ lam
 
-        def proj_affine(p):
-            resid = M @ p - qv
-            lam = np.linalg.solve(L.T, np.linalg.solve(L, resid))
-            return p - M.T @ lam
-
-    else:
-
-        def proj_affine(p):
-            return p
-
-    f = np.concatenate([-_svec(scaled(prog.obj_coeff), iu, vscale), np.zeros(n_in)])
+    f = np.concatenate([-_svec(prog.obj_coeff * D_out, iu, vscale), np.zeros(n_in)])
 
     if warm is not None and warm[0].shape == (dim,):
         v = warm[0].copy()
@@ -426,18 +398,12 @@ def solve_sdp(
             v = v_new
 
     p = v.copy()
-    if status == "infeasible":
-        polish_iters = 0
-    for k in range(1, polish_iters + 1):
+    n_polish = 0 if status == "infeasible" else _POLISH_ITERS
+    for k in range(1, n_polish + 1):
         p = proj_affine(cone_project(p))
-        if k % 100 == 0 or k == polish_iters:
+        if k % 100 == 0 or k == n_polish:
             Gk = _sym(_smat(p[:m_sv], n, iu, vscale)) * D_out
-            gap = max(
-                prog.max_violation(Gk),
-                max(0.0, -float(np.linalg.eigvalsh(Gk).min())),
-                float(np.min(p[m_sv:], initial=0.0)) * -1.0,
-            )
-            if gap <= _POLISH_TARGET:
+            if max(_residual_of(prog, Gk), -float(np.min(p[m_sv:], initial=0.0))) <= _POLISH_TARGET:
                 break
     G = _sym(_smat(p[:m_sv], n, iu, vscale)) * D_out
 
@@ -562,8 +528,6 @@ class SdpOracleResult:
     weights: AttackWeights
     solution: SdpSolution
     program: GramProgram
-    n_solved: int
-    n_failed: int
 
 
 def _quick_infeasible(stats: ClassStats, model: LinearModel, F: SphereSlabParams, w: AttackWeights):
@@ -674,8 +638,6 @@ def _zero_model_result(stats, model, F, eps):
         weights=wts,
         solution=sol,
         program=prog,
-        n_solved=1,
-        n_failed=0,
     )
 
 
@@ -690,7 +652,6 @@ def max_loss_data_dependent(
     extra_weights=(),
     tol: float = 1e-7,
     max_iter: int = 100_000,
-    trace_path=None,
 ) -> SdpOracleResult:
     """Maximize the expected hinge loss over attack distributions of mass eps.
 
@@ -715,48 +676,26 @@ def max_loss_data_dependent(
     best = None
     statuses = []
     warm_state = None
-    trace_fh = open(trace_path, "a", encoding="utf-8") if trace_path else None
-    try:
-        for wts in weight_list:
-            if _quick_infeasible(stats, model, F, wts) is not None:
-                statuses.append("infeasible")
-                continue
-            prog = build_gram_program(stats, model, F, wts)
-            sol = solve_sdp(prog, tol=tol, max_iter=max_iter, warm=warm_state)
-            statuses.append(sol.status)
-            if trace_fh is not None:
-                trace_fh.write(
-                    json.dumps(
-                        {
-                            "weights": list(wts.in_variable_order()),
-                            "objective": sol.objective,
-                            "status": sol.status,
-                            "primal_residual": sol.primal_residual,
-                            "dual_residual": sol.dual_residual,
-                            "iterations": sol.iterations,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            # An unconverged but near-feasible iterate is still a valid
-            # sample: the recovered support is repaired into the feasible set
-            # and its attained value reported, which merely underestimates
-            # that draw's own optimum.
-            usable = sol.status == "optimal" or (
-                sol.status == "max-iter" and sol.primal_residual <= 1e-4
-            )
-            if not usable:
-                continue
-            statuses[-1] = "optimal" if sol.status == "optimal" else "max-iter-feasible"
-            warm_state = sol.warm
-            if best is None or sol.objective > best[1].objective:
-                best = (wts, sol, prog)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+    for wts in weight_list:
+        if _quick_infeasible(stats, model, F, wts) is not None:
+            statuses.append("infeasible")
+            continue
+        prog = build_gram_program(stats, model, F, wts)
+        sol = solve_sdp(prog, tol=tol, max_iter=max_iter, warm=warm_state)
+        statuses.append(sol.status)
+        # An unconverged but near-feasible iterate is still a valid sample:
+        # the recovered support is repaired into the feasible set and its
+        # attained value reported, which merely underestimates that draw's
+        # own optimum.
+        usable = sol.status == "optimal" or (
+            sol.status == "max-iter" and sol.primal_residual <= 1e-4
+        )
+        if not usable:
+            continue
+        warm_state = sol.warm
+        if best is None or sol.objective > best[1].objective:
+            best = (wts, sol, prog)
 
-    n_failed = sum(1 for s in statuses if s not in ("optimal", "max-iter-feasible"))
     if best is None:
         counts = {s: statuses.count(s) for s in sorted(set(statuses))}
         raise SdpOracleError(f"all {len(weight_list)} weight draws failed; statuses={counts}")
@@ -784,6 +723,4 @@ def max_loss_data_dependent(
         weights=wts,
         solution=sol,
         program=prog,
-        n_solved=len(weight_list) - n_failed,
-        n_failed=n_failed,
     )

@@ -157,7 +157,7 @@ def loop_max_loss_integer(params, model, budget, seed, coord_cap=None):
 
     Returns (x or None, loss, label, number of successful repairs).
     """
-    wrapped = FeasibleSet(kind="integer-wrapped", params=params)
+    wrapped = FeasibleSet(kind="oracle", params=params, integer_features=True)
     theta = model.theta
     relaxed = max_loss_continuous(params, model)
     rng = np.random.default_rng(seed)

@@ -181,7 +181,7 @@ def test_criterion_4_sdp_desk_scale():
         model = pc.train_erm(ds, 1.0)
         w = AttackWeights(eps / 2, 0.0, eps / 2, 0.0)
         prog = build_gram_program(stats, model, params, w)
-        sol = solve_sdp(prog, tol=1e-10, max_iter=600_000, polish_iters=5000)
+        sol = solve_sdp(prog, tol=1e-10, max_iter=600_000)
         assert sol.status == "optimal"
         grid_val = brute_force_fixed_weights(stats, params, model.theta, eps)
         rel = abs(sol.objective - grid_val) / grid_val

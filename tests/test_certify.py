@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,20 @@ class TestCertifyDataDependent:
         # their own distribution (tolerance covers the truncation of any
         # auxiliary recovery dimension back to the data plane).
         assert cert.support_violation <= 1e-4
+
+    def test_rerun_is_byte_identical(self):
+        # The SDP oracle carries ADMM warm starts from draw to draw, so the
+        # whole certificate, not just the bounds, must repeat exactly.
+        ds, F = gaussian_fixture(n=20, seed=5, kind="data-dependent")
+        docs = []
+        for _ in range(2):
+            cert = certify_data_dependent(
+                ds, F, eps=0.15, rho=2.0, seed=7,
+                sdp_samples=2, attack_samples=2, eval_steps=2, sdp_max_iter=1500,
+            )
+            assert cert.n_steps == 3 and cert.n_skipped == 0
+            docs.append(json.dumps(cert.to_json_dict(), sort_keys=True))
+        assert docs[0] == docs[1]
 
     def test_eps_zero_degenerate(self):
         ds, F = gaussian_fixture(n=60, kind="data-dependent")

@@ -7,7 +7,9 @@ from poisoncert import (
     Dataset,
     GaussianSpec,
     LabeledPoint,
+    LinearModel,
     ParseError,
+    SphereSlabParams,
     StatsError,
     class_stats,
     gaussian_attack_points,
@@ -104,6 +106,23 @@ class TestContainers:
         ds = Dataset(np.eye(2), np.array([1, -1]))
         with pytest.raises(ValueError):
             ds.X[0, 0] = 5.0
+
+    def test_constructors_leave_input_arrays_writeable(self):
+        X, y, x, theta = np.zeros((3, 2)), np.array([1, -1, 1]), np.zeros(2), np.zeros(2)
+        mu_p, mu_m = np.ones(2), -np.ones(2)
+        instances = [
+            (Dataset(X, y), ("X", "y")),
+            (LabeledPoint(x, 1), ("x",)),
+            (LinearModel(theta, 1.0), ("theta",)),
+            (SphereSlabParams(mu_p, mu_m, 1.0, 1.0, 1.0, 1.0), ("mu_plus", "mu_minus")),
+        ]
+        for arr in (X, y, x, theta, mu_p, mu_m):
+            assert arr.flags.writeable
+            arr[0] = arr[0]
+        for obj, fields in instances:
+            for name in fields:
+                with pytest.raises(ValueError):
+                    getattr(obj, name)[0] = 0
 
     def test_labels_checked(self):
         with pytest.raises(ValueError):

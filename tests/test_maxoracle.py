@@ -242,7 +242,7 @@ class TestInteger:
             if res.point is None:
                 assert res.no_candidate
                 continue
-            F = FeasibleSet("integer-wrapped", params)
+            F = FeasibleSet("oracle", params, integer_features=True)
             assert membership(F, res.point)
             wrapped_checked += 1
         assert wrapped_checked >= 20

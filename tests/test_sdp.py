@@ -62,9 +62,10 @@ class TestBuildProgram:
         prog = build_gram_program(stats, model, params, AttackWeights(0, 0, 0, 0))
         assert prog.obj_const == 0.0
         assert np.allclose(prog.obj_coeff, 0.0)
-        # No margin constraints remain; sphere/slab reduce to the clean
-        # centroids. Verify on explicitly embedded vectors.
-        assert all("margin" not in name for name in prog.names)
+        # No margin constraints remain (rows are sphere, slab+, slab- per
+        # point); sphere/slab reduce to the clean centroids. Verify on
+        # explicitly embedded vectors.
+        assert len(prog.ineq_mats) == 12
         rng = np.random.default_rng(1)
         vecs = np.vstack([rng.standard_normal((4, 4)), np.zeros((3, 4))])
         vecs[MU_PLUS, :2] = stats.mu_plus
@@ -133,20 +134,26 @@ class TestBuildProgram:
             1: (stats.p_plus * vecs[MU_PLUS] + w.pi_a_plus * vecs[A_PLUS] + w.pi_b_plus * vecs[B_PLUS]) / q[1],
             -1: (stats.p_minus * vecs[MU_MINUS] + w.pi_a_minus * vecs[A_MINUS] + w.pi_b_minus * vecs[B_MINUS]) / q[-1],
         }
-        got = dict(zip(prog.names[6:], prog.ineq_values(G)))
+        # Documented row order: equalities G[i, j] for i <= j over the known
+        # vectors, then per point sphere, slab+, slab- and (all masses are
+        # positive here) the margin row.
+        known = (MU_PLUS, MU_MINUS, THETA)
+        expect_eq = [vecs[i] @ vecs[j] for a, i in enumerate(known) for j in known[a:]]
+        assert prog.eq_values(G) == pytest.approx(expect_eq, abs=1e-10)
+        got = iter(prog.ineq_values(G))
         for pt, label in ((A_PLUS, 1), (A_MINUS, -1), (B_PLUS, 1), (B_MINUS, -1)):
-            kind = "a" if pt in (A_PLUS, A_MINUS) else "b"
             x = vecs[pt]
             diff = x - mu_hat[label]
             vhat = mu_hat[label] - mu_hat[-label]
-            assert got[f"sphere[{kind},{label:+d}]"] == pytest.approx(diff @ diff, abs=1e-10)
-            assert got[f"slab+[{kind},{label:+d}]"] == pytest.approx(diff @ vhat, abs=1e-10)
-            assert got[f"slab-[{kind},{label:+d}]"] == pytest.approx(-(diff @ vhat), abs=1e-10)
-            margin_name = f"margin-on[{label:+d}]" if kind == "a" else f"margin-off[{label:+d}]"
+            assert next(got) == pytest.approx(diff @ diff, abs=1e-10)
+            assert next(got) == pytest.approx(diff @ vhat, abs=1e-10)
+            assert next(got) == pytest.approx(-(diff @ vhat), abs=1e-10)
+            # On-margin: y<theta, x> <= 1; off-margin: -y<theta, x> <= -1.
             expect = label * float(vecs[THETA] @ x)
-            if kind == "b":
+            if pt in (B_PLUS, B_MINUS):
                 expect = -expect
-            assert got[margin_name] == pytest.approx(expect, abs=1e-10)
+            assert next(got) == pytest.approx(expect, abs=1e-10)
+        assert next(got, None) is None
         # Objective: mass-weighted active-point hinge terms.
         expect_obj = w.pi_a_plus * (1 - vecs[THETA] @ vecs[A_PLUS]) + w.pi_a_minus * (
             1 + vecs[THETA] @ vecs[A_MINUS]
@@ -181,6 +188,7 @@ class TestSolve:
             ineq_mats=[lim],
             ineq_rhs=np.array([4.0]),
         )
+        assert prog.eq_mats.shape == (0, 2, 2) and prog.ineq_mats.shape == (1, 2, 2)
         sol = solve_sdp(prog, tol=1e-9)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(4.0, abs=1e-6)
@@ -199,7 +207,7 @@ class TestSolve:
     def test_infeasible_known_block(self):
         ds, stats, params, model = setup_instance()
         prog = build_gram_program(stats, model, params, AttackWeights(0.1, 0, 0.1, 0))
-        prog.meta["known_gram"] = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]])
+        prog.known_gram = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]])
         sol = solve_sdp(prog)
         assert sol.status == "infeasible"
 
@@ -428,20 +436,6 @@ class TestDataDependentOracle:
             extra_weights=corners, max_iter=15_000,
         )
         assert res.value == pytest.approx(nested_best, rel=0.05)
-
-    def test_trace_file_dump(self, tmp_path):
-        import json
-
-        ds, stats, params, model = setup_instance(seed=3, n=200)
-        trace = tmp_path / "solves.jsonl"
-        max_loss_data_dependent(
-            stats, model, params, 0.3, samples=2, seed=0,
-            extra_weights=[AttackWeights(0.3, 0, 0, 0)], trace_path=str(trace),
-        )
-        lines = trace.read_text().strip().splitlines()
-        assert len(lines) >= 1
-        rec = json.loads(lines[0])
-        assert set(rec) >= {"weights", "objective", "status", "primal_residual"}
 
     def test_all_infeasible_raises_with_diagnostics(self):
         ds, stats, params, model = setup_instance(seed=5, n=100)
