@@ -25,7 +25,7 @@ def main():
     F = pc.FeasibleSet("oracle", params, integer_features=True)
     model = pc.train_erm(ds, 1.0)
 
-    res = pc.max_loss_integer(F, model, budget=1000, seed=7, coord_cap=ds.X.max(axis=0))
+    res = pc.max_loss_integer(params, model, budget=1000, seed=7, coord_cap=ds.X.max(axis=0))
     print("worst feasible point against the trained model:")
     print(f"  continuous relaxation loss: {res.relaxed_loss:.4f}")
     print(f"  best rounded integer point: {res.point.x} (label {res.point.y:+d})")

@@ -19,7 +19,6 @@ from .certify import (
     init_rda_state,
     rda_step,
     regret_bound_trace,
-    upper_objective,
 )
 from .data import (
     ClassStats,

@@ -27,6 +27,8 @@ __all__ = [
     "gradient_attack",
 ]
 
+_VICTIM_TRAIN = TrainConfig(tol=1e-6, max_stages=14, stage_iters=800)
+
 
 def label_flip_attack(D_c: Dataset, F: FeasibleSet, eps: float, seed: int) -> Dataset:
     """Sample clean points with replacement, flip labels, keep feasible ones.
@@ -94,8 +96,6 @@ def gradient_attack(
     steps: int,
     step_size: float,
     seed: int,
-    *,
-    train_config: TrainConfig | None = None,
 ) -> GradientAttackResult:
     """Alternating ascent baseline: retrain, push points along -y*theta, project.
 
@@ -107,7 +107,6 @@ def gradient_attack(
     if m < 1:
         raise ValueError("eps * n must be at least 1")
     params = F.params
-    train_config = train_config or TrainConfig(tol=1e-6, max_stages=14, stage_iters=800)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -122,7 +121,7 @@ def gradient_attack(
     trace = []
     warm = None
     for _ in range(steps):
-        model = train_erm(concat(D_c, Dataset(X_p, y_p)), rho, train_config, init=warm)
+        model = train_erm(concat(D_c, Dataset(X_p, y_p)), rho, _VICTIM_TRAIN, init=warm)
         warm = model.theta
         trace.append(evaluate(model, D_c).avg_hinge)
         X_p = X_p - step_size * np.outer(y_p.astype(float), model.theta)

@@ -45,7 +45,6 @@ __all__ = [
     "init_rda_state",
     "rda_step",
     "regret_bound_trace",
-    "upper_objective",
     "certify_fixed",
     "certify_data_dependent",
 ]
@@ -71,7 +70,6 @@ class RdaState:
     """
 
     cumulative_gradient: np.ndarray
-    t: int
     eta: float
     lambda_t: float
     rho: float
@@ -83,7 +81,6 @@ def init_rda_state(d: int, rho: float, eta: float) -> RdaState:
         raise ValueError("rho and eta must be positive")
     return RdaState(
         cumulative_gradient=np.zeros(d),
-        t=0,
         eta=eta,
         lambda_t=1.0 / eta,
         rho=rho,
@@ -100,7 +97,6 @@ def rda_step(state: RdaState, g: np.ndarray) -> RdaState:
     lam = max(1.0 / state.eta, float(np.linalg.norm(G)) / state.rho)
     return RdaState(
         cumulative_gradient=G,
-        t=state.t + 1,
         eta=state.eta,
         lambda_t=lam,
         rho=state.rho,
@@ -123,13 +119,6 @@ def regret_bound_trace(grad_norms, lambdas, rho: float, eta: float) -> np.ndarra
     if grad_norms.size == 0:
         return np.array([])
     return head + np.cumsum(grad_norms**2 / (2.0 * lambdas))
-
-
-def upper_objective(model: LinearModel, D_c: Dataset, oracle_loss: float, eps: float) -> float:
-    """Clean average hinge plus eps times the oracle's worst feasible loss."""
-    margins = D_c.y * (D_c.X @ model.theta)
-    clean = float(np.maximum(0.0, 1.0 - margins).mean())
-    return clean + eps * oracle_loss
 
 
 @dataclass
@@ -401,12 +390,13 @@ def certify_fixed(
 ) -> Certificate:
     """Certify a fixed (poison-independent) defense.
 
-    Runs T = floor(eps * n) dual-averaging steps (or `steps` if given, in
-    which case the attack points are weight-adjusted when retraining). Each
-    step maximizes the hinge loss over the feasible set at the current
-    iterate, takes the combined clean+attack subgradient, and updates. The
-    returned certificate's bounds satisfy lower <= upper and, for continuous
-    oracles, gap <= regret/T within 1e-6; both are asserted.
+    `F` is an oracle-kind FeasibleSet. Runs T = floor(eps * n) dual-averaging
+    steps (or `steps` if given, in which case the attack points are
+    weight-adjusted when retraining). Each step maximizes the hinge loss over
+    the feasible set at the current iterate, takes the combined clean+attack
+    subgradient, and updates. The returned certificate's bounds satisfy
+    lower <= upper and, for continuous oracles, gap <= regret/T within 1e-6;
+    both are asserted.
 
     With `F.integer_features` set the upper bound and gradients come from
     the continuous relaxation while the emitted attack holds the rounded
@@ -422,7 +412,7 @@ def certify_fixed(
     def oracle(theta, step_seed):
         model = LinearModel(theta, rho)
         if integer_mode:
-            res = max_loss_integer(F, model, rounding_budget, step_seed, coord_cap=coord_cap)
+            res = max_loss_integer(params, model, rounding_budget, step_seed, coord_cap=coord_cap)
         else:
             res = max_loss_continuous(params, model)
         # The relaxed optimum carries the bound and the gradient; the attack

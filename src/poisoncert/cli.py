@@ -23,7 +23,6 @@ from . import __version__
 from .attacks import gradient_attack, label_flip_attack
 from .certify import CertificationError, certify_data_dependent, certify_fixed
 from .data import (
-    Dataset,
     GaussianSpec,
     ParseError,
     StatsError,
@@ -41,8 +40,9 @@ from .sdp import RecoveryError, SdpOracleError
 
 __all__ = ["main", "ConfigError"]
 
-SWEEP_HEADER = (
-    "eps,upper_bound,lower_bound,clean_train_loss,test_hinge,test_zero_one,duality_gap,regret_bound"
+SWEEP_COLUMNS = (
+    "eps", "upper_bound", "lower_bound", "clean_train_loss",
+    "test_hinge", "test_zero_one", "duality_gap", "regret_bound",
 )
 
 DEFAULT_CONFIG = {
@@ -98,11 +98,14 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
-def _config_hash(cfg):
+def _semantic(cfg):
     # Execution details (where to write, how many workers) are not part of
     # the experiment's identity.
-    semantic = {k: v for k, v in cfg.items() if k not in ("out", "jobs")}
-    return hashlib.sha256(json.dumps(semantic, sort_keys=True).encode()).hexdigest()[:16]
+    return {k: v for k, v in cfg.items() if k not in ("out", "jobs")}
+
+
+def _config_hash(cfg):
+    return hashlib.sha256(json.dumps(_semantic(cfg), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _load_config(path):
@@ -145,6 +148,18 @@ def _apply_overrides(cfg, args):
         cfg["out"] = args.out
     if getattr(args, "jobs", None) is not None:
         cfg["jobs"] = args.jobs
+    if getattr(args, "kind", None):
+        cfg["attack"]["kind"] = args.kind
+    if getattr(args, "d", None) is not None:
+        cfg["dataset"]["d"] = args.d
+    if getattr(args, "lam", None) is not None:
+        cfg["dataset"]["lam"] = args.lam
+    if getattr(args, "n", None) is not None:
+        cfg["dataset"]["n"] = args.n
+    if getattr(args, "data_seed", None) is not None:
+        cfg["dataset"]["seed"] = args.data_seed
+    if getattr(args, "test_fraction", None) is not None:
+        cfg["dataset"]["test_fraction"] = args.test_fraction
     return cfg
 
 
@@ -243,25 +258,12 @@ def _run_certify_job(cfg, eps, seed, train, test):
 
 def cmd_gen_data(args):
     cfg = _apply_overrides(_load_config(args.config), args)
-    ds_cfg = cfg["dataset"]
-    if getattr(args, "d", None) is not None:
-        ds_cfg["d"] = args.d
-    if getattr(args, "lam", None) is not None:
-        ds_cfg["lam"] = args.lam
-    if getattr(args, "n", None) is not None:
-        ds_cfg["n"] = args.n
-    if getattr(args, "data_seed", None) is not None:
-        ds_cfg["seed"] = args.data_seed
-    if getattr(args, "test_fraction", None) is not None:
-        ds_cfg["test_fraction"] = args.test_fraction
-    if ds_cfg["kind"] != "gaussian":
+    if cfg["dataset"]["kind"] != "gaussian":
         raise ConfigError("gen-data only supports the gaussian dataset kind")
     try:
-        spec = GaussianSpec(d=ds_cfg["d"], lam=ds_cfg["lam"], n=ds_cfg["n"], seed=ds_cfg["seed"])
+        train, test = _dataset_for(cfg, 0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    full = generate_gaussian(spec)
-    train, test = split_train_test(full, ds_cfg.get("test_fraction", 0.2))
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     save_dataset(train, os.path.join(out, "train.csv"), "dense-csv")
@@ -290,7 +292,7 @@ def cmd_certify(args):
         for e, s in jobs:
             results[(e, s)] = _run_certify_job(cfg, e, s, *data[s])
 
-    lines = [SWEEP_HEADER]
+    lines = [",".join(SWEEP_COLUMNS)]
     for e, s in jobs:
         row, cert = results[(e, s)]
         cert_doc = cert.to_json_dict(config_echo={"config_hash": chash, "version": __version__, "eps": e, "seed": s})
@@ -298,26 +300,11 @@ def cmd_certify(args):
             os.path.join(out, f"certificate_eps{e}_seed{s}.json"),
             json.dumps(cert_doc, sort_keys=True, indent=1) + "\n",
         )
-        lines.append(
-            ",".join(
-                _fmt(row[k])
-                for k in (
-                    "eps",
-                    "upper_bound",
-                    "lower_bound",
-                    "clean_train_loss",
-                    "test_hinge",
-                    "test_zero_one",
-                    "duality_gap",
-                    "regret_bound",
-                )
-            )
-        )
+        lines.append(",".join(_fmt(row[k]) for k in SWEEP_COLUMNS))
     _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
-    semantic = {k: v for k, v in cfg.items() if k not in ("out", "jobs")}
     _atomic_write(
         os.path.join(out, "manifest.json"),
-        json.dumps({"config": semantic, "config_hash": chash, "version": __version__}, sort_keys=True, indent=1) + "\n",
+        json.dumps({"config": _semantic(cfg), "config_hash": chash, "version": __version__}, sort_keys=True, indent=1) + "\n",
     )
     print(f"wrote {len(jobs)} certificates and sweep.csv to {out}")
     return 0
@@ -326,8 +313,6 @@ def cmd_certify(args):
 def cmd_attack(args):
     cfg = _apply_overrides(_load_config(args.config), args)
     _validate(cfg)
-    if getattr(args, "kind", None):
-        cfg["attack"]["kind"] = args.kind
     kind = cfg["attack"]["kind"]
     eps = cfg["eps"][0]
     seed = cfg["seeds"][0]
@@ -355,7 +340,7 @@ def cmd_attack(args):
     else:
         raise ConfigError(f"unknown attack kind {kind!r}")
 
-    model = train_erm(concat(train, attack), rho) if attack.n else train_erm(train, rho)
+    model = train_erm(concat(train, attack), rho)
     report["n_attack"] = attack.n
     report["clean_train_hinge"] = evaluate(model, train).avg_hinge
     report["clean_train_zero_one"] = evaluate(model, train).zero_one
@@ -364,11 +349,7 @@ def cmd_attack(args):
         report["test_hinge"] = rep.avg_hinge
         report["test_zero_one"] = rep.zero_one
 
-    save_dataset(
-        attack if attack.n else Dataset(np.zeros((0, train.d)), np.zeros(0, dtype=int)),
-        os.path.join(out, "attack.csv"),
-        "dense-csv",
-    )
+    save_dataset(attack, os.path.join(out, "attack.csv"), "dense-csv")
     _atomic_write(os.path.join(out, "attack_report.json"), json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(f"wrote attack.csv ({attack.n} points) and attack_report.json to {out}")
     return 0
@@ -398,6 +379,10 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
+        p.add_argument("--out", default=None)
+
+    def run_flags(p):
+        common(p)
         p.add_argument("--eps", default=None, help="comma-separated eps list")
         p.add_argument("--seed", default=None, help="comma-separated seed list")
         p.add_argument("--defense", choices=("oracle", "data-dep"), default=None)
@@ -406,8 +391,6 @@ def _build_parser():
         p.add_argument("--eta", type=float, default=None)
         p.add_argument("--integer", action="store_true")
         p.add_argument("--sdp-samples", dest="sdp_samples", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=None)
 
     p_gen = sub.add_parser("gen-data", help="write synthetic gaussian train/test csv files")
     common(p_gen)
@@ -419,11 +402,12 @@ def _build_parser():
     p_gen.set_defaults(func=cmd_gen_data)
 
     p_cert = sub.add_parser("certify", help="run the certification sweep")
-    common(p_cert)
+    run_flags(p_cert)
+    p_cert.add_argument("--jobs", type=int, default=None)
     p_cert.set_defaults(func=cmd_certify)
 
     p_att = sub.add_parser("attack", help="run a named attack and report losses")
-    common(p_att)
+    run_flags(p_att)
     p_att.add_argument("--kind", choices=("label-flip", "gradient", "certificate"), default=None)
     p_att.set_defaults(func=cmd_attack)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import ClassStats, Dataset, LabeledPoint, StatsError, _frozen_array, _is_nonneg_integral
+from .data import _INT_ATOL, ClassStats, Dataset, LabeledPoint, StatsError, _frozen_array
 
 __all__ = [
     "SphereSlabParams",
@@ -113,12 +113,7 @@ def membership(F: FeasibleSet, p: LabeledPoint, atol: float = MEMBERSHIP_ATOL) -
     Constraint values are compared with an absolute slack `atol` so that
     points constructed on the constraint boundary remain members.
     """
-    if p.d != F.params.d:
-        raise ValueError(f"dimension mismatch: point d={p.d}, defense d={F.params.d}")
-    if F.integer_features and not _is_nonneg_integral(p.x):
-        return False
-    X = p.x[None, :]
-    return all(s[0] <= atol for s in _constraint_slacks(F.params, X, p.y))
+    return bool(membership_mask(F, Dataset(p.x[None, :], np.array([p.y])), atol)[0])
 
 
 def membership_mask(F: FeasibleSet, ds: Dataset, atol: float = MEMBERSHIP_ATOL) -> np.ndarray:
@@ -127,8 +122,8 @@ def membership_mask(F: FeasibleSet, ds: Dataset, atol: float = MEMBERSHIP_ATOL) 
         raise ValueError(f"dimension mismatch: data d={ds.d}, defense d={F.params.d}")
     ok = np.ones(ds.n, dtype=bool)
     if F.integer_features and ds.n:
-        ok &= (ds.X >= -1e-9).all(axis=1)
-        ok &= (np.abs(ds.X - np.round(ds.X)) <= 1e-9).all(axis=1)
+        ok &= (ds.X >= -_INT_ATOL).all(axis=1)
+        ok &= (np.abs(ds.X - np.round(ds.X)) <= _INT_ATOL).all(axis=1)
     for label in (1, -1):
         mask = ds.y == label
         if not mask.any():

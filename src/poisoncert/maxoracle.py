@@ -96,14 +96,13 @@ def _min_linear_over_ball_slab(c, mu, r, s, v, use_slab):
     return x
 
 
-def max_loss_continuous(F: SphereSlabParams | FeasibleSet, model: LinearModel) -> OracleResult:
+def max_loss_continuous(params: SphereSlabParams, model: LinearModel) -> OracleResult:
     """Exact maximizer of the hinge loss over the sphere/slab set, both classes.
 
     Solves min y<theta, x> per class in closed form and returns the class with
     the larger hinge loss (ties go to +1). theta = 0 degenerates to loss 1 at
     the positive centroid.
     """
-    params = F.params if isinstance(F, FeasibleSet) else F
     if params.d != model.d:
         raise ValueError(f"dimension mismatch: defense d={params.d}, model d={model.d}")
     if not params.use_sphere:
@@ -195,7 +194,7 @@ def _best_rounding(wrapped, theta, cands, y):
 
 
 def max_loss_integer(
-    F: SphereSlabParams | FeasibleSet,
+    params: SphereSlabParams,
     model: LinearModel,
     budget: int,
     seed: int,
@@ -204,8 +203,9 @@ def max_loss_integer(
 ) -> OracleResult:
     """Integer-valued attack point via relaxation plus randomized rounding.
 
-    The continuous optimum gives relaxed_loss (a valid upper bound; integrity
-    and non-negativity are only enforced on the rounded candidates). Per class,
+    Over the fixed defense's SphereSlabParams `params`, the continuous
+    optimum gives relaxed_loss (a valid upper bound; integrity and
+    non-negativity are only enforced on the rounded candidates). Per class,
     `budget` roundings of the continuous optimum are drawn, each coordinate
     rounded down or up with probability equal to its fractional part, clipped
     to [0, coord_cap]; infeasible samples are repaired by greedy coordinate
@@ -213,7 +213,6 @@ def max_loss_integer(
     feasible candidate of highest hinge loss (the first one on ties), or
     no_candidate=True when none was found within the budget.
     """
-    params = F.params if isinstance(F, FeasibleSet) else F
     if budget < 1:
         raise ValueError("budget must be >= 1")
     relaxed = max_loss_continuous(params, model)

@@ -68,7 +68,6 @@ class LinearModel:
 class LossReport:
     avg_hinge: float
     zero_one: float
-    n_points: int
 
 
 def hinge_loss(model: LinearModel, p: LabeledPoint) -> float:
@@ -101,7 +100,6 @@ def evaluate(model: LinearModel, ds: Dataset) -> LossReport:
     return LossReport(
         avg_hinge=float(np.maximum(0.0, 1.0 - margins).mean()),
         zero_one=float((margins <= 0).mean()),
-        n_points=ds.n,
     )
 
 

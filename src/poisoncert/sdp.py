@@ -83,10 +83,6 @@ class AttackWeights:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    @property
-    def total(self):
-        return self.pi_a_plus + self.pi_b_plus + self.pi_a_minus + self.pi_b_minus
-
     def in_variable_order(self):
         """Masses ordered like the Gram variables (a+, a-, b+, b-)."""
         return np.array([self.pi_a_plus, self.pi_a_minus, self.pi_b_plus, self.pi_b_minus])
@@ -288,7 +284,6 @@ class SdpSolution:
     objective: float
     status: str
     primal_residual: float
-    dual_residual: float
     iterations: int
     warm: tuple | None = None
 
@@ -320,7 +315,7 @@ def solve_sdp(
     if kg is not None:
         wmin = float(np.linalg.eigvalsh(_sym(kg)).min())
         if wmin < -1e-8 * (1.0 + float(np.trace(kg))):
-            return SdpSolution(np.zeros((n, n)), -np.inf, "infeasible", np.inf, np.inf, 0)
+            return SdpSolution(np.zeros((n, n)), -np.inf, "infeasible", np.inf, 0)
 
     # Diagonal preconditioning: solve over Gt with G = D Gt D. The cone is
     # invariant under the congruence and constraints map via A -> D A D.
@@ -359,7 +354,6 @@ def solve_sdp(
         return out
 
     status = "max-iter"
-    r_prim = r_dual = np.inf
     best_rp = np.inf
     since_improve = 0
     stall_window = 3000
@@ -434,21 +428,20 @@ def solve_sdp(
         objective=prog.objective_value(G),
         status=status,
         primal_residual=primal_residual,
-        dual_residual=r_dual,
         iterations=it,
         warm=(v, u, sigma),
     )
 
 
 def recover_vectors(
-    sol: SdpSolution | np.ndarray,
+    G: np.ndarray,
     mu_plus: np.ndarray,
     mu_minus: np.ndarray,
     theta: np.ndarray,
     *,
     tol: float = 1e-6,
 ) -> np.ndarray:
-    """Factor the optimal Gram matrix back into four attack vectors.
+    """Factor a 7x7 Gram matrix G (an SdpSolution's G_opt) into four attack vectors.
 
     With block 1 the four attack points and block 2 the known vectors, any PSD
     G consistent with the known inner products factors as X = V A + M B where
@@ -459,7 +452,7 @@ def recover_vectors(
     d_ext >= d); coordinates beyond d carry no model weight, so hinge losses
     are unaffected.
     """
-    G = sol.G_opt if isinstance(sol, SdpSolution) else np.asarray(sol, dtype=float)
+    G = np.asarray(G, dtype=float)
     if G.shape != (7, 7):
         raise ValueError("expected a 7x7 Gram matrix")
     d = mu_plus.shape[0]
@@ -625,7 +618,6 @@ def _zero_model_result(stats, model, F, eps):
         objective=prog.objective_value(G),
         status="optimal",
         primal_residual=prog.max_violation(G),
-        dual_residual=0.0,
         iterations=0,
     )
     return SdpOracleResult(
@@ -702,7 +694,7 @@ def max_loss_data_dependent(
     wts, sol, prog = best
     # Accepted iterates may carry clip-scale negative eigenvalues (bounded by
     # the usable-violation gate); the repair pass below restores feasibility.
-    X_full = recover_vectors(sol, stats.mu_plus, stats.mu_minus, model.theta, tol=1e-3)
+    X_full = recover_vectors(sol.G_opt, stats.mu_plus, stats.mu_minus, model.theta, tol=1e-3)
     d = stats.mu_plus.shape[0]
     labels = np.array(_ATTACK_LABELS)
     masses = wts.in_variable_order()

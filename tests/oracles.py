@@ -192,3 +192,48 @@ def loop_max_loss_integer(params, model, budget, seed, coord_cap=None):
         return None, relaxed.loss, None, repairs
     return best.x, best_loss, best.y, repairs
 
+
+
+def brute_force_a_only(stats, params, theta, pa_plus, pa_minus, step=0.05):
+    """Exhaustive 2-d grid search for the data-dependent attack with all mass
+    on the two on-margin points, pa_plus on a+ and pa_minus on a-.
+
+    With zero off-margin mass the poisoned centroid of each class is an
+    explicit function of that class's on-margin point, so a 2x2-d grid scan
+    covers the whole search space; off-margin points are unconstrained beyond
+    sphere/slab, which the centroid itself satisfies.
+    """
+    p = {1: stats.p_plus, -1: stats.p_minus}
+    mu = {1: stats.mu_plus, -1: stats.mu_minus}
+    r = {1: params.r_plus, -1: params.r_minus}
+    s = {1: params.s_plus, -1: params.s_minus}
+    q = {1: p[1] + pa_plus, -1: p[-1] + pa_minus}
+
+    def grid_for(y, mass):
+        kap = mass / (p[y] + mass) if mass > 0 else 0.0
+        hw = r[y] / (1 - kap) + step
+        g = np.arange(mu[y][0] - hw, mu[y][0] + hw + step, step)
+        h = np.arange(mu[y][1] - hw, mu[y][1] + hw + step, step)
+        A, B = np.meshgrid(g, h)
+        return np.stack([A.ravel(), B.ravel()], axis=1)
+
+    Xp = grid_for(1, pa_plus)
+    Xp = Xp[Xp @ theta <= 1.0]
+    Xm = grid_for(-1, pa_minus)
+    Xm = Xm[-(Xm @ theta) <= 1.0]
+    mu_hat_m = (p[-1] * mu[-1] + pa_minus * Xm) / q[-1]
+    best = -np.inf
+    for xa_p in Xp:
+        mu_hat_p = (p[1] * mu[1] + pa_plus * xa_p) / q[1]
+        if np.linalg.norm(xa_p - mu_hat_p) > r[1]:
+            continue
+        vhat = mu_hat_p - mu_hat_m
+        ok = np.abs((xa_p - mu_hat_p) @ vhat.T) <= s[1]
+        dm = Xm - mu_hat_m
+        ok &= np.linalg.norm(dm, axis=1) <= r[-1]
+        ok &= np.abs(np.einsum("ij,ij->i", dm, -vhat)) <= s[-1]
+        if not ok.any():
+            continue
+        obj = pa_plus * (1 - xa_p @ theta) + pa_minus * (1 + Xm[ok] @ theta)
+        best = max(best, float(obj.max()))
+    return best

@@ -16,7 +16,7 @@ import poisoncert as pc
 from poisoncert.cli import main as cli_main
 from poisoncert.sdp import AttackWeights, build_gram_program, recover_vectors, solve_sdp
 
-from oracles import grid_max_hinge_fixed, grid_min_averaged_objective
+from oracles import brute_force_a_only, grid_max_hinge_fixed, grid_min_averaged_objective
 
 
 def report(cid, ok, detail):
@@ -124,50 +124,6 @@ def test_criterion_3_oracle_exactness():
 # ---------------------------------------------------------------------------
 
 
-def brute_force_fixed_weights(stats, params, theta, eps, step=0.05):
-    """Exhaustive grid search with all mass on the two on-margin points.
-
-    With zero off-margin mass the poisoned centroid of each class is an
-    explicit function of that class's on-margin point, so a 2x2-d grid scan
-    covers the whole search space; off-margin points are unconstrained beyond
-    sphere/slab, which the centroid itself satisfies.
-    """
-    p = {1: stats.p_plus, -1: stats.p_minus}
-    mu = {1: stats.mu_plus, -1: stats.mu_minus}
-    r = {1: params.r_plus, -1: params.r_minus}
-    s = {1: params.s_plus, -1: params.s_minus}
-    q = {y: p[y] + eps / 2 for y in (1, -1)}
-    kap = {y: (eps / 2) / q[y] for y in (1, -1)}
-
-    def grid_for(y):
-        hw = r[y] / (1 - kap[y]) + step
-        g = np.arange(mu[y][0] - hw, mu[y][0] + hw + step, step)
-        h = np.arange(mu[y][1] - hw, mu[y][1] + hw + step, step)
-        A, B = np.meshgrid(g, h)
-        return np.stack([A.ravel(), B.ravel()], axis=1)
-
-    Xp = grid_for(1)
-    Xp = Xp[Xp @ theta <= 1.0]
-    Xm = grid_for(-1)
-    Xm = Xm[-(Xm @ theta) <= 1.0]
-    mu_hat_m = (p[-1] * mu[-1] + (eps / 2) * Xm) / q[-1]
-    best = -np.inf
-    for xa_p in Xp:
-        mu_hat_p = (p[1] * mu[1] + (eps / 2) * xa_p) / q[1]
-        if np.linalg.norm(xa_p - mu_hat_p) > r[1]:
-            continue
-        vhat = mu_hat_p - mu_hat_m
-        ok = np.abs((xa_p - mu_hat_p) @ vhat.T) <= s[1]
-        dm = Xm - mu_hat_m
-        ok &= np.linalg.norm(dm, axis=1) <= r[-1]
-        ok &= np.abs(np.einsum("ij,ij->i", dm, -vhat)) <= s[-1]
-        if not ok.any():
-            continue
-        obj = (eps / 2) * (1 - xa_p @ theta) + (eps / 2) * (1 + Xm[ok] @ theta)
-        best = max(best, float(obj.max()))
-    return best
-
-
 def test_criterion_4_sdp_desk_scale():
     import time
 
@@ -183,11 +139,11 @@ def test_criterion_4_sdp_desk_scale():
         prog = build_gram_program(stats, model, params, w)
         sol = solve_sdp(prog, tol=1e-10, max_iter=600_000)
         assert sol.status == "optimal"
-        grid_val = brute_force_fixed_weights(stats, params, model.theta, eps)
+        grid_val = brute_force_a_only(stats, params, model.theta, eps / 2, eps / 2)
         rel = abs(sol.objective - grid_val) / grid_val
         ok &= rel <= 0.02
 
-        X = recover_vectors(sol, stats.mu_plus, stats.mu_minus, model.theta)
+        X = recover_vectors(sol.G_opt, stats.mu_plus, stats.mu_minus, model.theta)
         d_ext = X.shape[1]
         known = np.zeros((3, d_ext))
         known[0, :2] = stats.mu_plus

@@ -9,7 +9,6 @@ from poisoncert import (
     Dataset,
     FeasibleSet,
     GaussianSpec,
-    LinearModel,
     SdpOracleError,
     calibrate_thresholds,
     certify_data_dependent,
@@ -23,7 +22,6 @@ from poisoncert import (
     rda_step,
     regret_bound_trace,
     train_erm,
-    upper_objective,
 )
 
 from oracles import grid_min_averaged_objective
@@ -78,29 +76,6 @@ class TestRegretTrace:
         trace = regret_bound_trace([1.0, 2.0], [1.0, 4.0], rho=1.0, eta=1.0)
         assert trace[0] == pytest.approx(0.5 + 0.5)
         assert trace[1] == pytest.approx(0.5 + 0.5 + 4.0 / 8.0)
-
-
-class TestUpperObjective:
-    def test_eps_zero_is_clean_loss(self):
-        ds, F = gaussian_fixture(n=100)
-        m = train_erm(ds, 1.0)
-        assert upper_objective(m, ds, 5.0, 0.0) == pytest.approx(evaluate(m, ds).avg_hinge)
-
-    def test_zero_model_value(self):
-        ds, F = gaussian_fixture(n=100)
-        z = LinearModel(np.zeros(2), 1.0)
-        assert upper_objective(z, ds, 1.0, 0.25) == pytest.approx(1.25)
-
-    def test_recomposition(self):
-        from poisoncert import max_loss_continuous
-
-        ds, F = gaussian_fixture(n=100)
-        rng = np.random.default_rng(3)
-        theta = rng.standard_normal(2) * 0.4
-        m = LinearModel(theta, float(np.linalg.norm(theta)) + 0.1)
-        res = max_loss_continuous(F.params, m)
-        val = upper_objective(m, ds, res.loss, 0.1)
-        assert val == pytest.approx(evaluate(m, ds).avg_hinge + 0.1 * res.loss, abs=1e-12)
 
 
 class TestCertifyFixed:

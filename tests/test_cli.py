@@ -221,3 +221,12 @@ def test_gen_data_unwritable_path(tmp_path, capsys):
     code = main(["gen-data", "--n", "100", "--out", str(target / "sub")])
     assert code == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] in ("NotADirectoryError", "FileExistsError", "OSError")
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen-data", "--eps", "0.1"], ["gen-data", "--integer"], ["attack", "--jobs", "2"]]
+)
+def test_command_rejects_flags_it_does_not_read(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not (tmp_path / "x").exists()

@@ -19,6 +19,8 @@ from poisoncert import (
 )
 from poisoncert.sdp import A_MINUS, A_PLUS, B_MINUS, B_PLUS, MU_MINUS, MU_PLUS, THETA
 
+from oracles import brute_force_a_only
+
 
 def setup_instance(seed=3, n=400, d=2, keep=0.7, rho=2.0):
     ds = generate_gaussian(GaussianSpec(d=d, lam=2.0, n=n, seed=seed))
@@ -375,44 +377,8 @@ class TestDataDependentOracle:
         eps = 0.3
         theta = model.theta
 
-        def brute_force_a_only(pa_p, pa_m, step=0.05):
-            p = {1: stats.p_plus, -1: stats.p_minus}
-            mu = {1: stats.mu_plus, -1: stats.mu_minus}
-            r = {1: params.r_plus, -1: params.r_minus}
-            s = {1: params.s_plus, -1: params.s_minus}
-            q = {1: p[1] + pa_p, -1: p[-1] + pa_m}
-
-            def grid_for(y, mass):
-                kap = mass / (p[y] + mass) if mass > 0 else 0.0
-                hw = r[y] / (1 - kap) + step
-                g = np.arange(mu[y][0] - hw, mu[y][0] + hw + step, step)
-                h = np.arange(mu[y][1] - hw, mu[y][1] + hw + step, step)
-                A, B = np.meshgrid(g, h)
-                return np.stack([A.ravel(), B.ravel()], axis=1)
-
-            Xp = grid_for(1, pa_p)
-            Xp = Xp[Xp @ theta <= 1.0]
-            Xm = grid_for(-1, pa_m)
-            Xm = Xm[-(Xm @ theta) <= 1.0]
-            MHm = (p[-1] * mu[-1] + pa_m * Xm) / q[-1]
-            best = -np.inf
-            for xa_p in Xp:
-                mh_p = (p[1] * mu[1] + pa_p * xa_p) / q[1]
-                if np.linalg.norm(xa_p - mh_p) > r[1]:
-                    continue
-                vh = mh_p - MHm
-                ok = np.abs((xa_p - mh_p) @ vh.T) <= s[1]
-                dm = Xm - MHm
-                ok &= np.linalg.norm(dm, axis=1) <= r[-1]
-                ok &= np.abs(np.einsum("ij,ij->i", dm, -vh)) <= s[-1]
-                if not ok.any():
-                    continue
-                obj = pa_p * (1 - xa_p @ theta) + pa_m * (1 + Xm[ok] @ theta)
-                best = max(best, float(obj.max()))
-            return best
-
         nested_best = max(
-            brute_force_a_only(eps * k / 4, eps * (4 - k) / 4) for k in range(5)
+            brute_force_a_only(stats, params, theta, eps * k / 4, eps * (4 - k) / 4) for k in range(5)
         )
         screened = -np.inf
         for ka, kb, kc in itertools.product(range(5), repeat=3):

@@ -1,0 +1,124 @@
+"""Print one SHA-256 digest per certificate and per CLI output file of a fixed
+set of runs, so that two commits can be checked for bit-identical results.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tools/digests.py > digests.txt
+
+and diff the files written on two checkouts. The script calls only
+`certify_fixed`, `certify_data_dependent` and `cli.main` with options both
+sides accept, so the same file runs on either. BLAS is held to one thread
+(set before numpy loads), since threaded reductions need not repeat bit for
+bit.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import warnings  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import poisoncert as pc  # noqa: E402
+from poisoncert.cli import main as cli_main  # noqa: E402
+
+
+def _gaussian(d, n, seed, keep=0.7, kind="oracle"):
+    ds = pc.generate_gaussian(pc.GaussianSpec(d=d, lam=2.0, n=n, seed=seed))
+    params = pc.calibrate_thresholds(ds, pc.class_stats(ds), keep)
+    return ds, pc.FeasibleSet(kind, params)
+
+
+def _counts():
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.poisson(3.0, size=(60, 6)), rng.poisson(1.0, size=(60, 6))]).astype(float)
+    ds = pc.Dataset(X, np.array([1] * 60 + [-1] * 60), integer_features=True)
+    params = pc.calibrate_thresholds(ds, pc.class_stats(ds), 0.8)
+    return ds, pc.FeasibleSet("oracle", params, integer_features=True)
+
+
+def library_runs():
+    """(name, certificate) for each library configuration."""
+    for eps in (0.0, 0.05, 0.3):
+        for seed in (0, 1):
+            ds, F = _gaussian(2, 400, seed)
+            yield f"fixed_d2_eps{eps}_seed{seed}", pc.certify_fixed(ds, F, eps, 1.5, seed=seed)
+    ds, F = _gaussian(2, 400, 0)
+    yield "fixed_d2_steps40", pc.certify_fixed(ds, F, 0.1, 1.5, steps=40)
+    ds, F = _gaussian(50, 400, 2)
+    yield "fixed_d50", pc.certify_fixed(ds, F, 0.05, 2.0)
+    ds, F = _counts()
+    yield "integer", pc.certify_fixed(ds, F, 0.1, 1.0, seed=3, rounding_budget=200)
+    yield "integer_coord_cap", pc.certify_fixed(
+        ds, F, 0.1, 1.0, seed=3, rounding_budget=200, coord_cap=np.full(ds.d, 2.0)
+    )
+    ds, F = _gaussian(2, 40, 3, kind="data-dependent")
+    dd = dict(sdp_samples=1, attack_samples=2, eval_steps=2, steps=2, sdp_max_iter=3000)
+    yield "data_dependent", pc.certify_data_dependent(ds, F, 0.1, 2.0, seed=0, **dd)
+    yield "data_dependent_eps0", pc.certify_data_dependent(ds, F, 0.0, 2.0, seed=0, **dd)
+
+
+def cli_runs(root):
+    """Run the CLI commands under `root`; return each command's output directory."""
+    config = os.path.join(root, "config.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(
+            {
+                "dataset": {"kind": "gaussian", "d": 2, "lam": 2.0, "n": 300, "seed": 0, "test_fraction": 0.2},
+                "defense": {"kind": "oracle", "keep_fraction": 0.7},
+                "eps": [0.05, 0.1],
+                "seeds": [0, 1],
+                "rho": 1.5,
+                "attack": {"kind": "label-flip", "steps": 4, "step_size": 0.2},
+            },
+            fh,
+        )
+    commands = {
+        "gen-data": ["gen-data", "--d", "3", "--lam", "1.5", "--n", "200", "--data-seed", "4", "--test-fraction", "0.25"],
+        "certify": ["certify", "--config", config],
+        "certify-jobs2": ["certify", "--config", config, "--jobs", "2"],
+        "certify-flags": [
+            "certify", "--config", config, "--eps", "0.2", "--seed", "3", "--keep-fraction", "0.9", "--rho", "1.0", "--eta", "0.3",
+        ],
+        "attack-label-flip": ["attack", "--config", config, "--kind", "label-flip"],
+        "attack-gradient": ["attack", "--config", config, "--kind", "gradient"],
+        "attack-certificate": ["attack", "--config", config, "--kind", "certificate", "--seed", "2"],
+    }
+    outs = {}
+    for name, argv in commands.items():
+        out = os.path.join(root, name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(argv + ["--out", out])
+        if code != 0:
+            raise SystemExit(f"{name} exited with code {code}")
+        outs[name] = out
+    return outs
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main():
+    warnings.simplefilter("ignore")
+    for name, cert in library_runs():
+        doc = json.dumps(cert.to_json_dict(), sort_keys=True)
+        print(f"{_sha(doc.encode())}  lib/{name}")
+    with tempfile.TemporaryDirectory() as root:
+        for name, out in cli_runs(root).items():
+            for fname in sorted(os.listdir(out)):
+                with open(os.path.join(out, fname), "rb") as fh:
+                    print(f"{_sha(fh.read())}  cli/{name}/{fname}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
