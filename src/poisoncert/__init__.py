@@ -70,7 +70,6 @@ from .sdp import (
     SdpSolution,
     build_gram_program,
     max_loss_data_dependent,
-    psd_project,
     recover_vectors,
     solve_sdp,
 )

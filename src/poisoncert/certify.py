@@ -493,7 +493,7 @@ def certify_data_dependent(
     attack_samples: int = 5,
     eval_steps: int = 10,
     steps: int | None = None,
-    sdp_max_iter: int = 20_000,
+    sdp_max_iter: int = 100,
 ) -> Certificate:
     """Certify the data-dependent defense with the Gram-SDP oracle.
 

@@ -6,10 +6,11 @@ on-margin and one off-margin point per class. For fixed attack weights, the
 objective and every constraint are linear in the inner products among seven
 vectors (the four attack points, the two clean centroids, and the model), so
 the maximization becomes a semidefinite program over their 7x7 Gram matrix.
-This module builds that program, solves it with a small dense ADMM scheme
-(PSD cone projection by eigendecomposition, affine projection with slack
-variables), recovers attack vectors from the optimal Gram matrix, and searches
-the weight simplex by Monte Carlo.
+This module builds that program, solves it with a small dense primal-dual
+interior-point method on the face of the PSD cone that the known vectors'
+Gram matrix fixes, checks each verdict with a dual bound or a Farkas ray,
+recovers attack vectors from the optimal Gram matrix, and searches the weight
+simplex by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "SdpOracleResult",
     "RecoveryError",
     "SdpOracleError",
-    "psd_project",
     "build_gram_program",
     "solve_sdp",
     "recover_vectors",
@@ -49,12 +49,12 @@ A_PLUS, A_MINUS, B_PLUS, B_MINUS, MU_PLUS, MU_MINUS, THETA = range(7)
 
 _ATTACK_LABELS = (1, -1, 1, -1)
 
-# solve_sdp: ADMM over-relaxation, iterations per residual check, polish
-# rounds and their stop.
-_OVER_RELAX = 1.6
-_CHECK_EVERY = 25
-_POLISH_ITERS = 5000
-_POLISH_TARGET = 1e-12
+# solve_sdp: largest duality gap and primal residual of an "optimal" verdict,
+# rounding allowed in its PSD checks (relative to the matrix's norm), and the
+# fraction of the way to the cone's boundary that a step may go.
+_GAP = 1e-7
+_EIG_TOL = 1e-12
+_STEP = 0.95
 
 
 class RecoveryError(ValueError):
@@ -89,10 +89,11 @@ class AttackWeights:
 
 
 def _sym(M):
-    return (M + M.T) / 2.0
+    """Symmetric part of a matrix or of each matrix in a stack."""
+    return (M + np.swapaxes(M, -1, -2)) / 2.0
 
 
-def psd_project(S: np.ndarray) -> np.ndarray:
+def _psd_project(S: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: clip negative eigenvalues."""
     w, Q = np.linalg.eigh(_sym(S))
     w = np.maximum(w, 0.0)
@@ -106,12 +107,11 @@ class GramProgram:
 
     Constraints are stacked (k, size, size) arrays; lists of matrices are
     stacked on construction. `known_gram`, when given, is the Gram matrix of
-    the trailing known vectors: the solver reports a non-PSD one infeasible
-    and cleans its null directions out of the solution. `var_scale` holds
-    per-variable scales for the solver's diagonal preconditioning.
+    the trailing known vectors, which the equalities pin: the solver
+    restricts G to the face it fixes and reports a non-PSD one infeasible.
 
-    build_gram_program emits its rows in a fixed order, which the solver's
-    iterates depend on: the six equalities pin G[i, j] for i <= j over
+    build_gram_program emits its rows in a fixed order, which
+    `SdpSolution.y` follows: the six equalities pin G[i, j] for i <= j over
     (mu_+, mu_-, theta); then, for each of a+, a-, b+, b- in turn, the
     inequalities sphere, slab+, slab- and, only when the point carries
     mass, its margin row.
@@ -125,7 +125,6 @@ class GramProgram:
     ineq_mats: np.ndarray
     ineq_rhs: np.ndarray
     known_gram: np.ndarray | None = None
-    var_scale: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.size
@@ -133,6 +132,15 @@ class GramProgram:
         self.ineq_mats = np.asarray(self.ineq_mats, dtype=float).reshape(-1, n, n)
         self.eq_rhs = np.asarray(self.eq_rhs, dtype=float)
         self.ineq_rhs = np.asarray(self.ineq_rhs, dtype=float)
+
+    @property
+    def rhs(self):
+        """Right-hand sides of all rows, equalities first."""
+        return np.concatenate([self.eq_rhs, self.ineq_rhs])
+
+    def combine(self, y):
+        """sum_k y_k M_k over the constraint matrices, equalities first."""
+        return np.tensordot(y, np.concatenate([self.eq_mats, self.ineq_mats]), axes=1)
 
     def objective_value(self, G):
         return self.obj_const + float(np.sum(self.obj_coeff * G))
@@ -217,26 +225,6 @@ def build_gram_program(
     C = -w.pi_a_plus * _sym(np.outer(e[THETA], e[A_PLUS]))
     C = C + w.pi_a_minus * _sym(np.outer(e[THETA], e[A_MINUS]))
     const = w.pi_a_plus + w.pi_a_minus
-
-    # Per-variable scales for the solver's diagonal preconditioning: without
-    # this a small ||theta|| leaves a near-zero Gram row whose tangent cone
-    # geometry stalls first-order iterations.
-    c_x = max(
-        float(np.linalg.norm(mu_p)) + (F.r_plus if F.use_sphere else 1.0),
-        float(np.linalg.norm(mu_m)) + (F.r_minus if F.use_sphere else 1.0),
-        1e-6,
-    )
-    var_scale = np.array(
-        [
-            c_x,
-            c_x,
-            c_x,
-            c_x,
-            max(float(np.linalg.norm(mu_p)), 1e-6),
-            max(float(np.linalg.norm(mu_m)), 1e-6),
-            max(float(np.linalg.norm(th)), 1e-6),
-        ]
-    )
     return GramProgram(
         size=n,
         obj_const=const,
@@ -246,32 +234,7 @@ def build_gram_program(
         ineq_mats=ineq_mats,
         ineq_rhs=ineq_rhs,
         known_gram=known_gram,
-        var_scale=var_scale,
     )
-
-
-# ---------------------------------------------------------------------------
-# svec / smat: isometric vectorization of symmetric matrices.
-# ---------------------------------------------------------------------------
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def _svec_index(n):
-    iu = np.triu_indices(n)
-    scale = np.where(iu[0] == iu[1], 1.0, _SQRT2)
-    return iu, scale
-
-
-def _svec(S, iu, scale):
-    """svec of a symmetric matrix, or of each matrix in a (k, n, n) stack."""
-    return S[..., iu[0], iu[1]] * scale
-
-
-def _smat(v, n, iu, scale):
-    S = np.zeros((n, n))
-    S[iu] = v / scale
-    return S + np.triu(S, 1).T
 
 
 def _residual_of(prog, G):
@@ -280,157 +243,208 @@ def _residual_of(prog, G):
 
 @dataclass
 class SdpSolution:
+    """A solve's verdict and the evidence `solve_sdp` checked for it.
+
+    `y` holds one multiplier per program row, equalities first. "PSD" below
+    means PSD on the face T of the known block (see `_face`), up to rounding
+    of 1e-12 relative to the matrix's norm.
+    - "optimal": `y` is a dual solution: inequality entries >= 0 and
+      `prog.combine(y) - obj_coeff` PSD, so `dual_bound` = obj_const +
+      rhs . y bounds every feasible objective; `objective` <= `dual_bound`
+      <= `objective` + 1e-7, and `primal_residual` <= 1e-7.
+    - "infeasible": `y` is a unit Farkas ray: inequality entries <= 0,
+      `-prog.combine(y)` PSD and rhs . y > 0, which no feasible G meets, as
+      <G, -combine(y)> >= 0 would force rhs . y <= 0.
+    - "max-iter": no verdict; `y` is None and `dual_bound` is inf.
+    """
+
     G_opt: np.ndarray
     objective: float
     status: str
     primal_residual: float
     iterations: int
-    warm: tuple | None = None
+    dual_bound: float = math.inf
+    y: np.ndarray | None = None
 
 
-def solve_sdp(
-    prog: GramProgram,
-    tol: float = 1e-7,
-    max_iter: int = 100_000,
-    *,
-    warm: tuple | None = None,
-) -> SdpSolution:
-    """Maximize the program's linear objective over the PSD cone by ADMM.
+def _psd_on(S, T):
+    """Whether T^T S T is PSD, up to rounding relative to its norm."""
+    w = np.linalg.eigvalsh(_sym(T.T @ S @ T))
+    return w.size == 0 or float(w[0]) >= -_EIG_TOL * max(1.0, float(np.abs(w).max()))
 
-    Inequalities get non-negative slack variables so the cone step is a pure
-    PSD projection (7x7 eigendecomposition) plus a clip; the affine step
-    projects onto the stacked equality system through a prescaled Cholesky
-    factor. After convergence, rounds of alternating projections polish the
-    iterate toward exact feasibility (typically ~1e-11; degenerate tangent
-    geometries can stall higher, which callers handle by repairing recovered
-    vectors instead).
+
+def _dual_bound(prog, y, T):
+    """obj_const + rhs . y if y is dual feasible on the face T, else inf."""
+    if np.all(y[len(prog.eq_mats) :] >= 0) and _psd_on(prog.combine(y) - prog.obj_coeff, T):
+        return prog.obj_const + float(prog.rhs @ y)
+    return math.inf
+
+
+def _is_ray(prog, y, T):
+    """Whether y is a Farkas ray proving the program infeasible on the face T."""
+    return bool(np.all(y[len(prog.eq_mats) :] <= 0)) and float(prog.rhs @ y) > 0 and _psd_on(-prog.combine(y), T)
+
+
+def _face(prog):
+    """Facial reduction (Borwein & Wolkowicz 1981) onto the known block.
+
+    Every PSD G whose trailing block is known_gram K equals T W T^T with
+    T = diag(I, U), U an orthonormal basis of range(K), and W PSD with
+    trailing block diag(w), w the positive eigenvalues of K; S is "PSD on
+    the face" when T^T S T is. The reduced program keeps interior points
+    where the full one has none (d = 2, theta = 0). Eigenvalues within 1e-10
+    of zero count as zero, and negative ones leave the face too, so a K that
+    is not PSD makes the equalities that pin it inconsistent on the face.
+    Returns (T, w).
     """
     n = prog.size
-    iu, vscale = _svec_index(n)
-    m_sv = len(vscale)
+    K = np.zeros((0, 0)) if prog.known_gram is None else _sym(np.asarray(prog.known_gram, dtype=float))
+    a = n - K.shape[0]
+    w, U = np.linalg.eigh(K)
+    tol = 1e-10 * (1.0 + float(np.abs(w).max(initial=0.0)))
+    T = np.zeros((n, a + int(np.sum(w > tol))))
+    T[:a, :a] = np.eye(a)
+    T[a:, a:] = U[:, w > tol]
+    return T, w[w > tol]
+
+
+def _max_step(X, dX, v, dv):
+    """Largest a with X + a dX PSD and v + a dv >= 0 (inf if there is none)."""
+    Li = np.linalg.inv(np.linalg.cholesky(X))
+    lam = min(float(np.linalg.eigvalsh(_sym(Li @ dX @ Li.T))[0]), float(np.min(dv / v, initial=0.0)))
+    return math.inf if lam >= 0 else -1.0 / lam
+
+
+def _flat(stack):
+    return stack.reshape(len(stack), stack.shape[-1] ** 2)
+
+
+def solve_sdp(prog: GramProgram, tol: float = 1e-9, max_iter: int = 100) -> SdpSolution:
+    """Maximize the program's objective over PSD G by a primal-dual
+    interior-point method; return a verdict together with its evidence.
+
+    G is restricted to the face of its known block (`_face`), dependent
+    equality rows are compressed away, every row is scaled to unit norm and
+    each inequality gets a slack. Each iteration solves the Schur system (one
+    row per constraint) for the HKM direction (Helmberg, Rendl, Vanderbei &
+    Wolkowicz 1996) with Mehrotra's predictor-corrector, refined against the
+    primal rows. The method stops with "infeasible" as soon as the dual
+    iterate, scaled to unit norm, is a Farkas ray that checks; otherwise once
+    the relative residuals and gap fall below `tol`, the Schur system breaks
+    down or `max_iter` runs out. The best iterate, with its known block
+    pinned exactly by the congruence diag(I, diag(w)^1/2 W_kk^-1/2), is
+    "optimal" if it violates no row or the cone by more than 1e-7 and its
+    dual checks within a gap of 1e-7 (see SdpSolution), else "max-iter".
+    """
     n_eq, n_in = len(prog.eq_mats), len(prog.ineq_mats)
-    dim = m_sv + n_in
+    T, w = _face(prog)
+    p, r = T.shape[1], len(w)
+    U, sv, Vt = np.linalg.svd(_flat(T.T @ prog.eq_mats @ T), full_matrices=False)
+    keep = sv > 1e-10 * max(1.0, float(sv.max(initial=0.0)))
+    U, sv, Vt = U[:, keep], sv[keep], Vt[keep]
+    # Equalities inconsistent on the face: their residual combines the rows
+    # to (nearly) zero there while rhs . y > 0, a Farkas ray.
+    miss = prog.eq_rhs - U @ (U.T @ prog.eq_rhs)
+    if np.linalg.norm(miss) > 1e-10 * (1.0 + np.linalg.norm(prog.eq_rhs)):
+        ray = np.concatenate([miss, np.zeros(n_in)]) / np.linalg.norm(miss)
+        status, ray = ("infeasible", ray) if _is_ray(prog, ray, T) else ("max-iter", None)
+        return SdpSolution(np.zeros((prog.size,) * 2), -math.inf, status, math.inf, 0, y=ray)
+    B = T.T @ prog.ineq_mats @ T
+    nb = np.maximum(np.linalg.norm(_flat(B), axis=1), 1e-12)
+    A = np.concatenate([_sym(Vt.reshape(-1, p, p)), B / nb[:, None, None]])
+    Af, q = _flat(A), np.concatenate([U.T @ prog.eq_rhs / sv, prog.ineq_rhs / nb])
+    C = T.T @ prog.obj_coeff @ T
+    k = len(sv)
+    # Reduced multipliers -> program rows.
+    to_rows = np.zeros((n_eq + n_in, len(A)))
+    to_rows[:n_eq, :k] = U / sv
+    to_rows[n_eq:, k:] = np.diag(1.0 / nb)
 
-    kg = prog.known_gram
-    if kg is not None:
-        wmin = float(np.linalg.eigvalsh(_sym(kg)).min())
-        if wmin < -1e-8 * (1.0 + float(np.trace(kg))):
-            return SdpSolution(np.zeros((n, n)), -np.inf, "infeasible", np.inf, 0)
+    def gram(X):
+        if r:
+            ev, EV = np.linalg.eigh(X[p - r :, p - r :])
+            D = np.eye(p)
+            D[p - r :, p - r :] = np.sqrt(w)[:, None] * ((EV / np.sqrt(ev)) @ EV.T)
+            X = D @ X @ D.T
+        return _sym(T @ X @ T.T)
 
-    # Diagonal preconditioning: solve over Gt with G = D Gt D. The cone is
-    # invariant under the congruence and constraints map via A -> D A D.
-    D_out = np.ones((n, n)) if prog.var_scale is None else np.outer(prog.var_scale, prog.var_scale)
-
-    # One row per constraint: svec of the scaled matrix, then the slack
-    # block (zero for equalities, identity for inequalities).
-    M = np.zeros((n_eq + n_in, dim))
-    M[:, :m_sv] = _svec(np.concatenate([prog.eq_mats, prog.ineq_mats]) * D_out, iu, vscale)
-    M[n_eq:, m_sv:] = np.eye(n_in)
-    norms = np.maximum(np.linalg.norm(M, axis=1), 1e-12)
-    M /= norms[:, None]
-    qv = np.concatenate([prog.eq_rhs, prog.ineq_rhs]) / norms
-    L = np.linalg.cholesky(M @ M.T + 1e-12 * np.eye(M.shape[0]))
-
-    def proj_affine(p):
-        resid = M @ p - qv
-        lam = np.linalg.solve(L.T, np.linalg.solve(L, resid))
-        return p - M.T @ lam
-
-    f = np.concatenate([-_svec(prog.obj_coeff * D_out, iu, vscale), np.zeros(n_in)])
-
-    if warm is not None and warm[0].shape == (dim,):
-        v = warm[0].copy()
-        u = warm[1].copy()
-        sigma = warm[2]
-    else:
-        v = np.zeros(dim)
-        u = np.zeros(dim)
-        sigma = 1.0
-
-    def cone_project(p):
-        out = np.empty_like(p)
-        out[:m_sv] = _svec(psd_project(_smat(p[:m_sv], n, iu, vscale)), iu, vscale)
-        out[m_sv:] = np.maximum(p[m_sv:], 0.0)
-        return out
-
-    status = "max-iter"
-    best_rp = np.inf
-    since_improve = 0
-    stall_window = 3000
-    it = 0
+    xi = max(10.0, math.sqrt(p), p * float(np.max(1.0 + np.abs(q), initial=1.0)))
+    zeta = max(10.0, math.sqrt(p), float(np.linalg.norm(C)))
+    X, s = xi * np.eye(p), np.full(n_in, xi)
+    Z, y = zeta * np.eye(p), np.concatenate([np.zeros(k), np.full(n_in, zeta)])
+    best, it = (math.inf, X, y), 0
     for it in range(1, max_iter + 1):
-        x = proj_affine(v - u - f / sigma)
-        xr = _OVER_RELAX * x + (1.0 - _OVER_RELAX) * v
-        v_new = cone_project(xr + u)
-        u = u + xr - v_new
-        if it % _CHECK_EVERY == 0 or it == max_iter:
-            r_prim = float(np.linalg.norm(x - v_new)) / (1.0 + float(np.linalg.norm(v_new)))
-            r_dual = sigma * float(np.linalg.norm(v_new - v)) / (1.0 + float(np.linalg.norm(v_new)))
-            v = v_new
-            if r_prim < tol and r_dual < tol:
-                status = "optimal"
-                break
-            # A consensus gap that stops shrinking while the dual residual
-            # vanishes is the operator-splitting signature of an empty
-            # intersection (the iterates translate along the gap vector).
-            if r_prim < 0.7 * best_rp:
-                best_rp = r_prim
-                since_improve = 0
-            else:
-                since_improve += _CHECK_EVERY
-            if since_improve >= stall_window and r_prim > 50 * tol and r_dual < 1e-3 * r_prim:
-                status = "infeasible"
-                break
-            # Residual balancing keeps the two error terms comparable.
-            if r_prim > 10 * r_dual and sigma < 1e4:
-                sigma *= 2.0
-                u /= 2.0
-            elif r_dual > 10 * r_prim and sigma > 1e-4:
-                sigma /= 2.0
-                u *= 2.0
-        else:
-            v = v_new
+        rp = q - Af @ X.ravel()
+        rp[k:] -= s
+        Rd = C - (y @ Af).reshape(p, p) + Z
+        pobj, dobj = float(np.sum(C * X)), float(q @ y)
+        # Relative residuals and gap. The verdict goes to the best iterate:
+        # on degenerate programs the primal residual grows again late.
+        gap = abs(dobj - pobj) / (1 + abs(pobj))
+        err = max(np.linalg.norm(rp) / (1 + np.linalg.norm(q)), np.linalg.norm(Rd) / (1 + np.linalg.norm(C)), gap)
+        if err < best[0]:
+            best = (err, X, y)
+        if err <= tol:
+            break
+        if dobj < 0:
+            # The dual objective heads to -inf: try the dual direction as a ray.
+            ray = -(to_rows @ y) / np.linalg.norm(to_rows @ y)
+            if _is_ray(prog, ray, T):
+                return SdpSolution(gram(X), -math.inf, "infeasible", math.inf, it, y=ray)
+        try:
+            X, s, y, Z = _ipm_step(Af, k, X, s, y, Z, rp, Rd)
+        except np.linalg.LinAlgError:
+            break
+    # Converged, stalled or out of iterations: the best iterate is optimal
+    # if its evidence checks.
+    G, dual = gram(best[1]), to_rows @ best[2]
+    objective, bound, residual = prog.objective_value(G), _dual_bound(prog, dual, T), _residual_of(prog, G)
+    if residual <= _GAP and objective <= bound <= objective + _GAP:
+        return SdpSolution(G, objective, "optimal", residual, it, bound, dual)
+    return SdpSolution(G, objective, "max-iter", residual, it)
 
-    p = v.copy()
-    n_polish = 0 if status == "infeasible" else _POLISH_ITERS
-    for k in range(1, n_polish + 1):
-        p = proj_affine(cone_project(p))
-        if k % 100 == 0 or k == n_polish:
-            Gk = _sym(_smat(p[:m_sv], n, iu, vscale)) * D_out
-            if max(_residual_of(prog, Gk), -float(np.min(p[m_sv:], initial=0.0))) <= _POLISH_TARGET:
-                break
-    G = _sym(_smat(p[:m_sv], n, iu, vscale)) * D_out
 
-    # Cross terms along null directions of the known block are numerical
-    # phantoms: real vectors whose Gram is rank-deficient cannot produce
-    # inner products outside their span, so any realizable solution has
-    # exactly zero there. Removing them keeps vector recovery exact; on a
-    # still-rough iterate the components are not phantoms yet, so the cleaned
-    # matrix is kept only when it is at least as feasible.
-    if kg is not None and n >= 3:
-        ew, EV = np.linalg.eigh(_sym(kg))
-        null = EV[:, ew < 1e-10 * max(1.0, float(ew.max()))]
-        if null.size:
-            proj = np.eye(kg.shape[0]) - null @ null.T
-            G2 = G.copy()
-            G2[:, n - kg.shape[0] :] = G2[:, n - kg.shape[0] :] @ proj
-            G2[n - kg.shape[0] :, :] = proj @ G2[n - kg.shape[0] :, :]
-            G2 = _sym(G2)
-            # Keep the cleaned matrix unless it costs real feasibility: a
-            # well-converged iterate may trade ~1e-12 of slack for removing
-            # a ~1e-8 unrealizable component, which is the right trade.
-            if _residual_of(prog, G2) <= max(_residual_of(prog, G), 1e-8):
-                G = G2
+def _ipm_step(Af, k, X, s, y, Z, rp, Rd):
+    """One Mehrotra predictor-corrector step along HKM directions.
 
-    primal_residual = _residual_of(prog, G)
-    return SdpSolution(
-        G_opt=G,
-        objective=prog.objective_value(G),
-        status=status,
-        primal_residual=primal_residual,
-        iterations=it,
-        warm=(v, u, sigma),
-    )
+    Rows k: of Af are inequalities with slacks s, whose multipliers y[k:]
+    double as the slacks' dual variables.
+    """
+    p = X.shape[0]
+    yin = y[k:]
+    mu = (float(np.sum(X * Z)) + float(s @ yin)) / (p + len(s))
+    Zi = np.linalg.inv(Z)
+    H = _sym(Af @ _flat(X @ Af.reshape(-1, p, p) @ Zi).T)
+    H[k:, k:] += np.diag(s / yin)
+    L = np.linalg.cholesky(H)
+
+    def direction(R, rs):
+        # Newton step for A(X) + [0; s] = q, A^T y - Z = C and the
+        # complementarity targets R (matrix, XZ-linearized) and rs (slacks).
+        def rest(dy):
+            dZ = (dy @ Af).reshape(p, p) - Rd
+            return _sym(R - X @ dZ @ Zi), rs - s / yin * dy[k:], dZ
+
+        # Iterative refinement from dy = 0: the Schur system ends ill-conditioned.
+        dy = np.zeros(len(rp))
+        for _ in range(4):
+            dX, ds, _ = rest(dy)
+            err = rp - Af @ dX.ravel()
+            err[k:] -= ds
+            dy = dy - np.linalg.solve(L.T, np.linalg.solve(L, err))
+        dX, ds, dZ = rest(dy)
+        return dX, ds, dy, dZ
+
+    def steps(dX, ds, dy, dZ, frac):
+        return min(1.0, frac * _max_step(X, dX, s, ds)), min(1.0, frac * _max_step(Z, dZ, yin, dy[k:]))
+
+    dX, ds, dy, dZ = direction(-X, -s)
+    ap, ad = steps(dX, ds, dy, dZ, 1.0)
+    mu_aff = (float(np.sum((X + ap * dX) * (Z + ad * dZ))) + float((s + ap * ds) @ (yin + ad * dy[k:]))) / (p + len(s))
+    sigma = (mu_aff / mu) ** 3
+    dX, ds, dy, dZ = direction(sigma * mu * Zi - X - dX @ dZ @ Zi, (sigma * mu - ds * dy[k:]) / yin - s)
+    ap, ad = steps(dX, ds, dy, dZ, _STEP)
+    return X + ap * dX, s + ap * ds, y + ad * dy, Z + ad * dZ
 
 
 def recover_vectors(
@@ -465,7 +479,7 @@ def recover_vectors(
     scale = max(1.0, float(np.abs(G).max()))
     if eig_min < -tol * scale:
         raise RecoveryError(f"matrix has eigenvalue {eig_min:.3e} below -tol, not a Gram matrix")
-    G = psd_project(G)
+    G = _psd_project(G)
 
     G11 = G[:4, :4]
     G12 = G[:4, 4:]
@@ -523,114 +537,19 @@ class SdpOracleResult:
     program: GramProgram
 
 
-def _quick_infeasible(stats: ClassStats, model: LinearModel, F: SphereSlabParams, w: AttackWeights):
-    """Cheap sufficient test that a weight vector admits no feasible support.
-
-    Any feasible x of class y stays within r_y / (1 - kappa) of the clean
-    centroid (kappa the class's attack-mass fraction), so its margin lies in a
-    computable interval. Mass on an on-margin point outside reach of margin
-    <= 1, or an off-margin point that cannot reach margin >= 1, is hopeless.
-    Returns a reason string or None; only ever rejects truly infeasible draws.
-    """
-    if not F.use_sphere:
-        return None
-    norm_theta = float(np.linalg.norm(model.theta))
-    masses = {1: (w.pi_a_plus, w.pi_b_plus), -1: (w.pi_a_minus, w.pi_b_minus)}
-    for label in (1, -1):
-        pi_a, pi_b = masses[label]
-        q = stats.p(label) + pi_a + pi_b
-        kappa = (pi_a + pi_b) / q
-        reach = norm_theta * F.r(label) / max(1.0 - kappa, 1e-12)
-        center = label * float(model.theta @ stats.mu(label))
-        if pi_a > 0 and center - reach > 1.0:
-            return f"class {label:+d}: no reachable on-margin point"
-        if pi_b > 0 and center + reach < 1.0:
-            return f"class {label:+d}: no reachable off-margin point"
-    return None
-
-
-def _repair_support(points, labels, masses, stats, theta_ext, F, passes=30):
-    """Nudge recovered points the last few microns into the feasible set.
-
-    Operator-splitting iterates can stall a few 1e-6 outside an inequality
-    when it meets the PSD boundary tangentially; in vector space the rank
-    face is smoothly parameterized, so projecting each point onto its
-    violated sphere/slab/margin constraint (recomputing the mass-weighted
-    centroids as they move) restores feasibility at negligible objective
-    cost. Points are only moved, never relabeled or reweighted.
-    """
-    X = points.copy()
-    d_ext = X.shape[1]
-    mu_pad = {1: np.zeros(d_ext), -1: np.zeros(d_ext)}
-    mu_pad[1][: stats.mu_plus.shape[0]] = stats.mu_plus
-    mu_pad[-1][: stats.mu_minus.shape[0]] = stats.mu_minus
-    norm_theta_sq = float(theta_ext @ theta_ext)
-    for _ in range(passes):
-        mu_hat = {}
-        for label in (1, -1):
-            mask = labels == label
-            q = stats.p(label) + masses[mask].sum()
-            mu_hat[label] = (stats.p(label) * mu_pad[label] + masses[mask] @ X[mask]) / q
-        moved = 0.0
-        for i in range(4):
-            y = int(labels[i])
-            diff = X[i] - mu_hat[y]
-            if F.use_sphere:
-                nrm = float(np.linalg.norm(diff))
-                if nrm > F.r(y):
-                    X[i] = mu_hat[y] + diff * (F.r(y) / nrm)
-                    moved = max(moved, nrm - F.r(y))
-                    diff = X[i] - mu_hat[y]
-            if F.use_slab:
-                v = mu_hat[y] - mu_hat[-y]
-                vv = float(v @ v)
-                if vv > 0:
-                    a = float(diff @ v)
-                    if abs(a) > F.s(y):
-                        X[i] = X[i] - ((abs(a) - F.s(y)) * np.sign(a) / vv) * v
-                        moved = max(moved, abs(a) - F.s(y))
-            if masses[i] > 0 and norm_theta_sq > 0:
-                m = y * float(theta_ext @ X[i])
-                if i in (A_PLUS, A_MINUS) and m > 1.0:
-                    X[i] = X[i] - ((m - 1.0) / norm_theta_sq) * y * theta_ext
-                    moved = max(moved, m - 1.0)
-                elif i in (B_PLUS, B_MINUS) and m < 1.0:
-                    X[i] = X[i] + ((1.0 - m) / norm_theta_sq) * y * theta_ext
-                    moved = max(moved, 1.0 - m)
-        if moved < 1e-13:
-            break
-    return X
-
-
 def _zero_model_result(stats, model, F, eps):
-    """Exact answer for theta = 0: every point has hinge 1, so any feasible
-    distribution with all mass on on-margin points attains the maximum eps.
-    Class centroids are always feasible, which sidesteps a degenerate (zero
-    theta-row) cone geometry the iterative solver handles poorly."""
+    """theta = 0: every point has hinge 1, so putting all mass on on-margin
+    points at the class centroids (always feasible) attains the maximum eps.
+    On the face theta's row vanishes and with it obj_coeff, so y = 0 is the
+    dual that proves it."""
     wts = AttackWeights(eps / 2, 0.0, eps / 2, 0.0)
     prog = build_gram_program(stats, model, F, wts)
-    d = stats.mu_plus.shape[0]
     pts = np.stack([stats.mu_plus, stats.mu_minus, stats.mu_plus, stats.mu_minus])
     vecs = np.concatenate([pts, np.stack([stats.mu_plus, stats.mu_minus, model.theta])])
-    G = vecs @ vecs.T
-    sol = SdpSolution(
-        G_opt=G,
-        objective=prog.objective_value(G),
-        status="optimal",
-        primal_residual=prog.max_violation(G),
-        iterations=0,
-    )
-    return SdpOracleResult(
-        points=pts[:, :d],
-        points_full=pts,
-        labels=np.array(_ATTACK_LABELS),
-        masses=wts.in_variable_order(),
-        value=sol.objective,
-        expected_loss=sol.objective / eps,
-        weights=wts,
-        solution=sol,
-        program=prog,
-    )
+    G, y = vecs @ vecs.T, np.zeros(len(prog.rhs))
+    value = prog.objective_value(G)
+    sol = SdpSolution(G, value, "optimal", _residual_of(prog, G), 0, _dual_bound(prog, y, _face(prog)[0]), y)
+    return SdpOracleResult(pts, pts, np.array(_ATTACK_LABELS), wts.in_variable_order(), value, value / eps, wts, sol, prog)
 
 
 def max_loss_data_dependent(
@@ -642,15 +561,16 @@ def max_loss_data_dependent(
     seed: int,
     *,
     extra_weights=(),
-    tol: float = 1e-7,
-    max_iter: int = 100_000,
+    tol: float = 1e-9,
+    max_iter: int = 100,
 ) -> SdpOracleResult:
     """Maximize the expected hinge loss over attack distributions of mass eps.
 
     Draws `samples` weight vectors uniformly from the simplex (Dirichlet(1^4)
     scaled by eps), solves the Gram SDP for each plus any caller-supplied
-    boundary weights, and keeps the best objective. Raises SdpOracleError with
-    diagnostics when every solve fails.
+    boundary weights, and keeps the best objective among the "optimal"
+    solves; theta = 0 has a closed form. Raises SdpOracleError with
+    diagnostics when no solve is optimal.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -659,50 +579,30 @@ def max_loss_data_dependent(
     if float(np.linalg.norm(model.theta)) == 0.0:
         return _zero_model_result(stats, model, F, eps)
     rng = np.random.default_rng(seed)
-    weight_list = []
-    for _ in range(samples):
-        u = rng.dirichlet(np.ones(4))
-        weight_list.append(AttackWeights(*(eps * u)))
+    weight_list = [AttackWeights(*(eps * rng.dirichlet(np.ones(4)))) for _ in range(samples)]
     weight_list.extend(extra_weights)
 
     best = None
     statuses = []
-    warm_state = None
     for wts in weight_list:
-        if _quick_infeasible(stats, model, F, wts) is not None:
-            statuses.append("infeasible")
-            continue
         prog = build_gram_program(stats, model, F, wts)
-        sol = solve_sdp(prog, tol=tol, max_iter=max_iter, warm=warm_state)
+        sol = solve_sdp(prog, tol=tol, max_iter=max_iter)
         statuses.append(sol.status)
-        # An unconverged but near-feasible iterate is still a valid sample:
-        # the recovered support is repaired into the feasible set and its
-        # attained value reported, which merely underestimates that draw's
-        # own optimum.
-        usable = sol.status == "optimal" or (
-            sol.status == "max-iter" and sol.primal_residual <= 1e-4
-        )
-        if not usable:
-            continue
-        warm_state = sol.warm
-        if best is None or sol.objective > best[1].objective:
+        if sol.status == "optimal" and (best is None or sol.objective > best[1].objective):
             best = (wts, sol, prog)
 
     if best is None:
         counts = {s: statuses.count(s) for s in sorted(set(statuses))}
         raise SdpOracleError(f"all {len(weight_list)} weight draws failed; statuses={counts}")
     wts, sol, prog = best
-    # Accepted iterates may carry clip-scale negative eigenvalues (bounded by
-    # the usable-violation gate); the repair pass below restores feasibility.
-    X_full = recover_vectors(sol.G_opt, stats.mu_plus, stats.mu_minus, model.theta, tol=1e-3)
+    X_full = recover_vectors(sol.G_opt, stats.mu_plus, stats.mu_minus, model.theta)
     d = stats.mu_plus.shape[0]
     labels = np.array(_ATTACK_LABELS)
     masses = wts.in_variable_order()
     theta_ext = np.zeros(X_full.shape[1])
     theta_ext[:d] = model.theta
-    X_full = _repair_support(X_full, labels, masses, stats, theta_ext, F)
-    # Report the attained value of the (repaired, hence feasible) support.
-    # It matches the solver objective to the feasibility tolerance.
+    # Report the attained value of the recovered support; it matches the
+    # solver objective to the recovery's rounding.
     hinges = np.maximum(0.0, 1.0 - labels * (X_full @ theta_ext))
     value = float(masses @ hinges)
     return SdpOracleResult(

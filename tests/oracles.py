@@ -5,6 +5,7 @@ enumeration) and kept free of the code paths it checks.
 """
 
 import numpy as np
+import pytest
 
 from poisoncert import FeasibleSet, LabeledPoint, max_loss_continuous, membership
 from poisoncert.data import _is_nonneg_integral
@@ -237,3 +238,81 @@ def brute_force_a_only(stats, params, theta, pa_plus, pa_minus, step=0.05):
         obj = pa_plus * (1 - xa_p @ theta) + pa_minus * (1 + Xm[ok] @ theta)
         best = max(best, float(obj.max()))
     return best
+
+
+def _face_basis(prog):
+    """diag(I, U) with U the eigenvectors of known_gram whose eigenvalues
+    exceed 1e-10 (1 + max |eigenvalue|): the face every PSD G with that
+    trailing block lies on."""
+    n = prog.size
+    if prog.known_gram is None:
+        return np.eye(n)
+    K = np.asarray(prog.known_gram, dtype=float)
+    w, U = np.linalg.eigh((K + K.T) / 2)
+    keep = w > 1e-10 * (1.0 + np.abs(w).max())
+    a = n - K.shape[0]
+    T = np.zeros((n, a + int(keep.sum())))
+    T[:a, :a] = np.eye(a)
+    T[a:, a:] = U[:, keep]
+    return T
+
+
+def _row_sum(prog, y):
+    """sum_k y_k M_k over equality then inequality matrices, one at a time."""
+    total = np.zeros((prog.size, prog.size))
+    for yk, M in zip(y, list(prog.eq_mats) + list(prog.ineq_mats)):
+        total = total + yk * M
+    return total
+
+
+def _rhs_dot(prog, y):
+    n_eq = len(prog.eq_mats)
+    return sum(float(y[i] * prog.eq_rhs[i]) for i in range(n_eq)) + sum(
+        float(y[n_eq + j] * prog.ineq_rhs[j]) for j in range(len(prog.ineq_mats))
+    )
+
+
+def _min_eig_on_face(prog, S):
+    T = _face_basis(prog)
+    lam = np.linalg.eigvalsh((T.T @ S @ T + (T.T @ S @ T).T) / 2)
+    return float(lam.min()) if lam.size else 0.0, float(np.abs(lam).max(initial=0.0))
+
+
+def check_farkas(prog, y):
+    """Assert that y proves the program infeasible: inequality multipliers
+    <= 0, -sum_k y_k M_k PSD on the known block's face (rounding of 1e-12
+    relative to its norm allowed) and rhs . y > 0. Returns rhs . y."""
+    y = np.asarray(y, dtype=float)
+    n_eq = len(prog.eq_mats)
+    assert y.shape == (n_eq + len(prog.ineq_mats),), "one multiplier per row"
+    assert np.all(y[n_eq:] <= 0), "an inequality multiplier is positive"
+    lam_min, lam_max = _min_eig_on_face(prog, -_row_sum(prog, y))
+    assert lam_min >= -1e-12 * max(1.0, lam_max), f"-M^T y has eigenvalue {lam_min:.3e} on the face"
+    q = _rhs_dot(prog, y)
+    assert q > 0, f"rhs . y = {q:.3e} is not positive"
+    return q
+
+
+def check_dual(prog, sol, gap=1e-7):
+    """Assert an "optimal" solution's evidence: G PSD and feasible (1e-7
+    relative) with the reported objective; y dual feasible on the face
+    (inequality multipliers >= 0, sum_k y_k M_k - obj_coeff PSD there);
+    dual_bound = obj_const + rhs . y; and objective <= dual_bound <=
+    objective + gap. Returns the gap."""
+    assert sol.status == "optimal"
+    G, y = np.asarray(sol.G_opt), np.asarray(sol.y, dtype=float)
+    n_eq = len(prog.eq_mats)
+    g = np.linalg.eigvalsh((G + G.T) / 2)
+    assert g.min() >= -1e-7 * max(1.0, np.abs(g).max()), f"G has eigenvalue {g.min():.3e}"
+    for M, b in zip(prog.eq_mats, prog.eq_rhs):
+        assert abs(float(np.sum(M * G)) - b) <= 1e-7 * max(1.0, abs(b)), "G misses an equality"
+    for M, h in zip(prog.ineq_mats, prog.ineq_rhs):
+        assert float(np.sum(M * G)) - h <= 1e-7 * max(1.0, abs(h)), "G violates an inequality"
+    assert sol.objective == pytest.approx(prog.obj_const + float(np.sum(prog.obj_coeff * G)), abs=1e-12)
+    assert np.all(y[n_eq:] >= 0), "an inequality multiplier is negative"
+    lam_min, lam_max = _min_eig_on_face(prog, _row_sum(prog, y) - prog.obj_coeff)
+    assert lam_min >= -1e-12 * max(1.0, lam_max), f"dual slack has eigenvalue {lam_min:.3e} on the face"
+    bound = prog.obj_const + _rhs_dot(prog, y)
+    assert sol.dual_bound == pytest.approx(bound, abs=1e-12)
+    assert sol.objective <= sol.dual_bound <= sol.objective + gap, (sol.objective, sol.dual_bound)
+    return sol.dual_bound - sol.objective

@@ -16,7 +16,7 @@ import poisoncert as pc
 from poisoncert.cli import main as cli_main
 from poisoncert.sdp import AttackWeights, build_gram_program, recover_vectors, solve_sdp
 
-from oracles import brute_force_a_only, grid_max_hinge_fixed, grid_min_averaged_objective
+from oracles import brute_force_a_only, check_dual, grid_max_hinge_fixed, grid_min_averaged_objective
 
 
 def report(cid, ok, detail):
@@ -139,6 +139,7 @@ def test_criterion_4_sdp_desk_scale():
         prog = build_gram_program(stats, model, params, w)
         sol = solve_sdp(prog, tol=1e-10, max_iter=600_000)
         assert sol.status == "optimal"
+        check_dual(prog, sol)
         grid_val = brute_force_a_only(stats, params, model.theta, eps / 2, eps / 2)
         rel = abs(sol.objective - grid_val) / grid_val
         ok &= rel <= 0.02

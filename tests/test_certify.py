@@ -196,8 +196,8 @@ class TestCertifyDataDependent:
         assert cert.support_violation <= 1e-4
 
     def test_rerun_is_byte_identical(self):
-        # The SDP oracle carries ADMM warm starts from draw to draw, so the
-        # whole certificate, not just the bounds, must repeat exactly.
+        # Not just the bounds: the whole certificate, attack points and
+        # traces included, must repeat exactly.
         ds, F = gaussian_fixture(n=20, seed=5, kind="data-dependent")
         docs = []
         for _ in range(2):

@@ -1,25 +1,28 @@
 import numpy as np
 import pytest
 
+import poisoncert.sdp as sdp_mod
 from poisoncert import (
     AttackWeights,
+    FeasibleSet,
     GaussianSpec,
     GramProgram,
     LinearModel,
     SdpOracleError,
     build_gram_program,
     calibrate_thresholds,
+    certify_data_dependent,
     class_stats,
     generate_gaussian,
     max_loss_data_dependent,
-    psd_project,
     recover_vectors,
     solve_sdp,
     train_erm,
 )
 from poisoncert.sdp import A_MINUS, A_PLUS, B_MINUS, B_PLUS, MU_MINUS, MU_PLUS, THETA
+from poisoncert.sdp import _psd_project as psd_project
 
-from oracles import brute_force_a_only
+from oracles import brute_force_a_only, check_dual, check_farkas
 
 
 def setup_instance(seed=3, n=400, d=2, keep=0.7, rho=2.0):
@@ -212,6 +215,7 @@ class TestSolve:
         prog.known_gram = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]])
         sol = solve_sdp(prog)
         assert sol.status == "infeasible"
+        check_farkas(prog, sol.y)
 
     def test_monotone_in_thresholds(self):
         ds, stats, params, model = setup_instance(seed=12)
@@ -235,9 +239,56 @@ class TestSolve:
         small = LinearModel(np.array([0.05, 0.0]), 2.0)
         prog = build_gram_program(stats, small, params, AttackWeights(0.0, 0.15, 0.0, 0.15))
         sol = solve_sdp(prog, tol=1e-7, max_iter=40_000)
-        assert sol.status in ("infeasible", "max-iter")
-        if sol.status == "max-iter":
-            assert sol.primal_residual > 1e-6
+        assert sol.status == "infeasible"
+        assert check_farkas(prog, sol.y) > 0
+        # The check rejects the same ray with its sign flipped.
+        with pytest.raises(AssertionError):
+            check_farkas(prog, -sol.y)
+
+
+def _recorded_dd_run(monkeypatch, eta):
+    """certify_data_dependent on the n=80 sample of the data-dependent
+    benchmark workloads (eta None keeps theta inside the norm ball, eta 10
+    puts it on the boundary); returns the certificate and every solve."""
+    ds = generate_gaussian(GaussianSpec(d=2, lam=2.0, n=80, seed=5))
+    params = calibrate_thresholds(ds, class_stats(ds), 0.7)
+    solves = []
+    real = sdp_mod.solve_sdp
+
+    def recording(prog, *args, **kwargs):
+        sol = real(prog, *args, **kwargs)
+        solves.append((prog, sol))
+        return sol
+
+    monkeypatch.setattr(sdp_mod, "solve_sdp", recording)
+    cert = certify_data_dependent(
+        ds, FeasibleSet("data-dependent", params), eps=0.25, rho=2.0, eta=eta, seed=0, steps=2, sdp_samples=1
+    )
+    return cert, solves
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("eta", [None, 10.0])
+    def test_every_dd_draw_carries_checked_evidence(self, monkeypatch, eta):
+        cert, solves = _recorded_dd_run(monkeypatch, eta)
+        assert solves
+        for prog, sol in solves:
+            assert sol.status in ("optimal", "infeasible")
+            if sol.status == "optimal":
+                check_dual(prog, sol)
+            else:
+                check_farkas(prog, sol.y)
+                with pytest.raises(AssertionError):
+                    check_farkas(prog, -sol.y)
+
+    def test_boundary_keeps_its_best_draws(self, monkeypatch):
+        # The best draws on the boundary workload are the ones a stalled
+        # solver loses: the upper bound must reach the loss an attack from
+        # those draws induces (0.18), not stay at the value of the few
+        # draws that happen to converge.
+        cert, solves = _recorded_dd_run(monkeypatch, 10.0)
+        assert not [sol for _, sol in solves if sol.status == "max-iter"]
+        assert cert.upper_bound >= 0.18
 
 
 class TestRecovery:
@@ -363,6 +414,7 @@ class TestDataDependentOracle:
         res = max_loss_data_dependent(stats, zero, params, 0.3, samples=3, seed=0)
         assert res.value == pytest.approx(0.3, abs=1e-12)
         assert res.solution.status == "optimal"
+        check_dual(res.program, res.solution)
 
     def test_monte_carlo_matches_nested_brute_force(self):
         # Nested oracle: a lattice over the weight simplex crossed with a
