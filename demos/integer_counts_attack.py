@@ -26,11 +26,13 @@ def main():
     model = pc.train_erm(ds, 1.0)
 
     res = pc.max_loss_integer(params, model, budget=1000, seed=7, coord_cap=ds.X.max(axis=0))
+    relaxed_loss = res.relaxed.losses.max()
+    k = int(np.argmax(res.losses))  # one row per class, labels (+1, -1)
     print("worst feasible point against the trained model:")
-    print(f"  continuous relaxation loss: {res.relaxed_loss:.4f}")
-    print(f"  best rounded integer point: {res.point.x} (label {res.point.y:+d})")
-    print(f"  its hinge loss: {res.loss:.4f} (integrality gap "
-          f"{res.relaxed_loss - res.loss:.4f})")
+    print(f"  continuous relaxation loss: {relaxed_loss:.4f}")
+    print(f"  best rounded integer point: {res.X[k]} (label {(1, -1)[k]:+d})")
+    print(f"  its hinge loss: {res.losses[k]:.4f} (integrality gap "
+          f"{relaxed_loss - res.losses[k]:.4f})")
 
     cert = pc.certify_fixed(ds, F, eps=0.2, rho=1.0, seed=7, rounding_budget=500)
     print(f"\neps=0.2 certificate: upper {cert.upper_bound:.4f} (relaxed), "

@@ -24,7 +24,6 @@ from .data import (
     ClassStats,
     Dataset,
     GaussianSpec,
-    LabeledPoint,
     ParseError,
     StatsError,
     class_stats,
@@ -40,7 +39,6 @@ from .defense import (
     SphereSlabParams,
     calibrate_thresholds,
     filter_feasible,
-    membership,
     membership_mask,
     recompute_data_dependent,
 )
@@ -57,12 +55,9 @@ from .model import (
     TrainingWarning,
     evaluate,
     generalization_bound,
-    hinge_loss,
-    hinge_subgradient,
     train_erm,
 )
 from .sdp import (
-    AttackWeights,
     GramProgram,
     RecoveryError,
     SdpOracleError,

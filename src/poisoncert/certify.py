@@ -17,9 +17,13 @@ returning an `_OracleStep`: the gradient support `points` (k, d), `labels`
 and `masses` summing to eps; `value`, the mass-weighted worst loss added to
 the clean loss in the objective u (it must not under-estimate the maximum
 for u to stay an upper bound); `loss`, the worst loss per unit of mass,
-stored as `StepRecord.oracle_loss`; and `result`, the oracle's own answer,
-kept for attack assembly. An oracle that raises `SdpOracleError` skips its
-step; more than a tenth of the steps skipped fails the run.
+stored as `StepRecord.oracle_loss`; and `result`, what attack assembly
+needs from the answer. The fixed-defense oracles answer per class, and the
+step takes the row of largest loss: its relaxed row as the support, the
+best feasible (integer) row and its label as `result`. The SDP oracle's
+support is its four weighted points and `result` its whole answer. An
+oracle that raises `SdpOracleError` skips its step; more than a tenth of
+the steps skipped fails the run.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from . import sdp as sdp_mod
 from .data import Dataset, class_stats, concat
 from .defense import FeasibleSet, SphereSlabParams
-from .maxoracle import max_loss_continuous, max_loss_integer
+from .maxoracle import LABELS, max_loss_continuous, max_loss_integer
 from .model import LinearModel, TrainConfig, train_erm
 
 __all__ = [
@@ -129,7 +133,6 @@ class StepRecord:
     u_before: float  # objective at the pre-update iterate theta^{t-1}
     u_after: float | None  # objective at the post-update iterate theta^{t}
     lambda_used: float
-    lambda_after: float
     grad_norm: float
     oracle_loss: float
     skipped: bool = False
@@ -307,7 +310,6 @@ def _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, train_config,
                     u_before=float("nan"),
                     u_after=None,
                     lambda_used=state.lambda_t,
-                    lambda_after=state.lambda_t,
                     grad_norm=0.0,
                     oracle_loss=float("nan"),
                     skipped=True,
@@ -331,7 +333,6 @@ def _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, train_config,
             u_before=u_before,
             u_after=None,
             lambda_used=lam_used,
-            lambda_after=state.lambda_t,
             grad_norm=float(np.linalg.norm(g)),
             oracle_loss=step.loss,
         )
@@ -413,20 +414,23 @@ def certify_fixed(
         model = LinearModel(theta, rho)
         if integer_mode:
             res = max_loss_integer(params, model, rounding_budget, step_seed, coord_cap=coord_cap)
+            relaxed = res.relaxed
         else:
-            res = max_loss_continuous(params, model)
+            res = relaxed = max_loss_continuous(params, model)
         # The relaxed optimum carries the bound and the gradient; the attack
-        # keeps res.point, the feasible rounding (None when none was found).
-        p = res.relaxed_point
-        loss = res.relaxed_loss
-        return _OracleStep(p.x[None, :], np.array([p.y]), np.array([eps]), eps * loss, loss, res.point)
+        # keeps the best feasible rounding and its label (None when none was
+        # found). Both rows are copies, so a step does not hold whole answers.
+        i, k = int(np.argmax(relaxed.losses)), int(np.argmax(res.losses))
+        loss = float(relaxed.losses[i])
+        found = None if res.no_candidate else (res.X[k].copy(), LABELS[k])
+        return _OracleStep(relaxed.X[[i]], LABELS[[i]], np.array([eps]), eps * loss, loss, found)
 
     def assemble(live, attack_size, _rng):
         nonlocal weighted
         found = [step.result for _, step in live if step.result is not None]
         attack = Dataset(
-            np.array([p.x for p in found]) if found else np.zeros((0, D_c.d)),
-            np.array([p.y for p in found], dtype=int) if found else np.zeros(0, dtype=int),
+            np.array([x for x, _ in found]) if found else np.zeros((0, D_c.d)),
+            np.array([y for _, y in found], dtype=int) if found else np.zeros(0, dtype=int),
             integer_features=integer_mode,
         )
         n = D_c.n
@@ -472,13 +476,16 @@ def _corner_weights(eps):
     """Boundary supports (some masses exactly zero), tried alongside the
     simplex samples: they stay feasible when a class has no reachable
     on-margin point, and the all-off-margin corner realizes a zero-loss
-    attack against models the defense fully protects."""
-    return [
-        sdp_mod.AttackWeights(eps, 0.0, 0.0, 0.0),
-        sdp_mod.AttackWeights(0.0, 0.0, eps, 0.0),
-        sdp_mod.AttackWeights(eps / 2, 0.0, eps / 2, 0.0),
-        sdp_mod.AttackWeights(0.0, eps / 2, 0.0, eps / 2),
-    ]
+    attack against models the defense fully protects. Rows are weights in
+    Gram variable order (a+, a-, b+, b-)."""
+    return np.array(
+        [
+            [eps, 0.0, 0.0, 0.0],
+            [0.0, eps, 0.0, 0.0],
+            [eps / 2, eps / 2, 0.0, 0.0],
+            [0.0, 0.0, eps / 2, eps / 2],
+        ]
+    )
 
 
 def certify_data_dependent(

@@ -1,6 +1,6 @@
 """Datasets for poisoning experiments.
 
-Containers for labeled points, dense-csv / sparse-text file I/O, per-class
+The labeled dataset container, dense-csv / sparse-text file I/O, per-class
 statistics, and the synthetic two-Gaussian generator with its mean-shift
 attack points. Dense float vectors are the canonical in-memory form; sparse
 integer input is densified at load time.
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LabeledPoint",
     "Dataset",
     "ClassStats",
     "GaussianSpec",
@@ -59,30 +58,6 @@ def _is_nonneg_integral(x):
 
 
 @dataclass(frozen=True)
-class LabeledPoint:
-    """A feature vector with a binary label in {-1, +1}."""
-
-    x: np.ndarray
-    y: int
-    integer_features: bool = False
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or x.size == 0:
-            raise ValueError("feature vector must be 1-d and non-empty")
-        if self.y not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.y!r}")
-        if self.integer_features and not _is_nonneg_integral(x):
-            raise ValueError("integer-flagged point has negative or non-integral coordinates")
-        object.__setattr__(self, "x", _frozen_array(x))
-        object.__setattr__(self, "y", int(self.y))
-
-    @property
-    def d(self):
-        return self.x.shape[0]
-
-
-@dataclass(frozen=True)
 class Dataset:
     """An ordered set of labeled points stored as a dense (n, d) matrix.
 
@@ -119,15 +94,9 @@ class Dataset:
     def d(self):
         return self.X.shape[1]
 
-    def point(self, i):
-        return LabeledPoint(self.X[i], int(self.y[i]), self.integer_features)
-
     def subset(self, idx):
         idx = np.asarray(idx)
         return Dataset(self.X[idx], self.y[idx], self.integer_features)
-
-    def class_mask(self, label):
-        return self.y == label
 
 
 def concat(a: Dataset, b: Dataset) -> Dataset:
@@ -299,8 +268,8 @@ def class_stats(ds: Dataset) -> ClassStats:
     """Empirical centroids mu_y, class fractions p_y, and max point norm R."""
     if ds.n == 0:
         raise StatsError("empty dataset")
-    pos = ds.class_mask(1)
-    neg = ds.class_mask(-1)
+    pos = ds.y == 1
+    neg = ds.y == -1
     if not pos.any() or not neg.any():
         raise StatsError("both classes must be present to compute class statistics")
     return ClassStats(

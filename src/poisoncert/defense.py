@@ -1,8 +1,9 @@
 """Sanitization defenses as feasible sets.
 
-A defense is a membership predicate built from per-class sphere radii
-(distance to the class centroid) and slab half-widths (projection onto the
-line between the centroids). Oracle defenses keep fixed centroids; the
+A defense is a feasible set built from per-class sphere radii (distance to
+the class centroid) and slab half-widths (projection onto the line between
+the centroids); `membership_mask` checks every row of a dataset against it
+at once. Oracle defenses keep fixed centroids; the
 data-dependent variant recomputes centroids from the poisoned mass while
 holding the clean-calibrated thresholds fixed. With `integer_features` set,
 membership additionally requires non-negative integer coordinates
@@ -16,12 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import _INT_ATOL, ClassStats, Dataset, LabeledPoint, StatsError, _frozen_array
+from .data import _INT_ATOL, ClassStats, Dataset, StatsError, _frozen_array
 
 __all__ = [
     "SphereSlabParams",
     "FeasibleSet",
-    "membership",
     "membership_mask",
     "calibrate_thresholds",
     "filter_feasible",
@@ -107,17 +107,12 @@ def _constraint_slacks(params: SphereSlabParams, X, label):
     return slacks
 
 
-def membership(F: FeasibleSet, p: LabeledPoint, atol: float = MEMBERSHIP_ATOL) -> bool:
-    """True iff every enabled constraint holds for the point's class.
+def membership_mask(F: FeasibleSet, ds: Dataset, atol: float = MEMBERSHIP_ATOL) -> np.ndarray:
+    """Per point, whether every enabled constraint of its class holds; order preserved.
 
     Constraint values are compared with an absolute slack `atol` so that
     points constructed on the constraint boundary remain members.
     """
-    return bool(membership_mask(F, Dataset(p.x[None, :], np.array([p.y])), atol)[0])
-
-
-def membership_mask(F: FeasibleSet, ds: Dataset, atol: float = MEMBERSHIP_ATOL) -> np.ndarray:
-    """Vectorized membership over a dataset, preserving order."""
     if ds.d != F.params.d:
         raise ValueError(f"dimension mismatch: data d={ds.d}, defense d={F.params.d}")
     ok = np.ones(ds.n, dtype=bool)
@@ -128,10 +123,10 @@ def membership_mask(F: FeasibleSet, ds: Dataset, atol: float = MEMBERSHIP_ATOL) 
         mask = ds.y == label
         if not mask.any():
             continue
-        for slack in _constraint_slacks(F.params, ds.X[mask], label):
-            sub = ok[mask]
-            sub &= slack <= atol
-            ok[mask] = sub
+        # A single-label batch (the integer oracle's candidates) is used as is.
+        X = ds.X if mask.all() else ds.X[mask]
+        for slack in _constraint_slacks(F.params, X, label):
+            ok[mask] &= slack <= atol
     return ok
 
 

@@ -7,6 +7,10 @@ its orthogonal complement, clip the axis coordinate to the slab, and spend the
 remaining sphere budget against the orthogonal component. For integer count
 features the continuous optimum is an upper bound and a randomized rounding
 pass produces a feasible integer candidate.
+
+Both oracles answer with one row per class, in label order (+1, -1): the
+class's best point and its hinge loss. The overall maximizer is the row
+`np.argmax` picks, so ties go to +1.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, LabeledPoint, _is_nonneg_integral
+from .data import Dataset, _is_nonneg_integral
 from .defense import MEMBERSHIP_ATOL, FeasibleSet, SphereSlabParams, membership_mask
 from .model import LinearModel
 
 __all__ = [
+    "LABELS",
     "OracleResult",
-    "ClassBest",
     "UnboundedOracleError",
     "max_loss_continuous",
     "max_loss_integer",
@@ -30,34 +34,33 @@ __all__ = [
 
 _TINY = 1e-14
 
+# Row order of every OracleResult.
+LABELS = np.array([1, -1])
+
 
 class UnboundedOracleError(ValueError):
     """The feasible set does not bound the loss (no finite sphere radius)."""
 
 
 @dataclass(frozen=True)
-class ClassBest:
-    y: int
-    point: LabeledPoint | None
-    loss: float
-
-
-@dataclass(frozen=True)
 class OracleResult:
-    """Best feasible attack point, with the continuous relaxation value.
+    """Per-class worst feasible points: row i of `X` (2, d) is the best
+    point of class LABELS[i] and `losses[i]` its hinge loss.
 
-    For the continuous oracle loss == relaxed_loss and the point attains it.
-    For the integer oracle the point is the best feasible rounding (None with
-    no_candidate=True when the budget found none) and relaxed_point carries
-    the continuous optimum used for the upper bound.
+    The continuous oracle's rows attain the exact maxima. The integer
+    oracle's rows are the best feasible roundings, a NaN row with loss -inf
+    where the budget found none, and `relaxed` is the continuous answer
+    they were rounded from, whose losses bound the integer ones.
     """
 
-    point: LabeledPoint | None
-    loss: float
-    relaxed_loss: float
-    relaxed_point: LabeledPoint
-    by_class: tuple[ClassBest, ClassBest]
-    no_candidate: bool = False
+    X: np.ndarray
+    losses: np.ndarray
+    relaxed: OracleResult | None = None
+
+    @property
+    def no_candidate(self):
+        """True when no class has a feasible point (integer oracle only)."""
+        return bool(np.all(self.losses == -np.inf))
 
 
 def _min_linear_over_ball_slab(c, mu, r, s, v, use_slab):
@@ -97,35 +100,24 @@ def _min_linear_over_ball_slab(c, mu, r, s, v, use_slab):
 
 
 def max_loss_continuous(params: SphereSlabParams, model: LinearModel) -> OracleResult:
-    """Exact maximizer of the hinge loss over the sphere/slab set, both classes.
+    """Exact maximizer of the hinge loss over the sphere/slab set, per class.
 
-    Solves min y<theta, x> per class in closed form and returns the class with
-    the larger hinge loss (ties go to +1). theta = 0 degenerates to loss 1 at
-    the positive centroid.
+    Solves min y<theta, x> per class in closed form. theta = 0 degenerates to
+    loss 1 at each class centroid.
     """
     if params.d != model.d:
         raise ValueError(f"dimension mismatch: defense d={params.d}, model d={model.d}")
     if not params.use_sphere:
         raise UnboundedOracleError("the continuous oracle needs an enabled sphere constraint")
-    best = None
-    per_class = []
+    X, losses = [], []
     for y in (1, -1):
         c = y * model.theta
         x = _min_linear_over_ball_slab(
             c, params.mu(y), params.r(y), params.s(y), params.centroid_vec(y), params.use_slab
         )
-        loss = max(0.0, 1.0 - float(c @ x))
-        entry = ClassBest(y=y, point=LabeledPoint(x, y), loss=loss)
-        per_class.append(entry)
-        if best is None or entry.loss > best.loss:
-            best = entry
-    return OracleResult(
-        point=best.point,
-        loss=best.loss,
-        relaxed_loss=best.loss,
-        relaxed_point=best.point,
-        by_class=tuple(per_class),
-    )
+        X.append(x)
+        losses.append(max(0.0, 1.0 - float(c @ x)))
+    return OracleResult(np.array(X), np.array(losses))
 
 
 def _round_candidates(rng, x_star, budget):
@@ -172,7 +164,7 @@ def _repair_integer(x, params, y, max_steps=200):
 
 def _best_rounding(wrapped, theta, cands, y):
     """First candidate of highest hinge loss that passes the defense, rejected
-    rows replaced by their repair; (None, -inf) when none passes."""
+    rows replaced by their repair, with its loss; (None, -inf) when none passes."""
     labels = np.full(cands.shape[0], y)
     ok = membership_mask(wrapped, Dataset(cands, labels))
     losses = np.where(ok, np.maximum(0.0, 1.0 - y * (cands @ theta)), -np.inf)
@@ -188,9 +180,8 @@ def _best_rounding(wrapped, theta, cands, y):
     j = int(np.argmax(losses))
     if losses[j] == -np.inf:
         return None, -np.inf
-    # A copy: a row view would keep the whole candidate matrix alive.
-    x = repaired.get(j, cands[j]).copy()
-    return LabeledPoint(x, y, integer_features=True), max(0.0, 1.0 - y * float(theta @ x))
+    x = repaired.get(j, cands[j])
+    return x, max(0.0, 1.0 - y * float(theta @ x))
 
 
 def max_loss_integer(
@@ -204,14 +195,14 @@ def max_loss_integer(
     """Integer-valued attack point via relaxation plus randomized rounding.
 
     Over the fixed defense's SphereSlabParams `params`, the continuous
-    optimum gives relaxed_loss (a valid upper bound; integrity and
-    non-negativity are only enforced on the rounded candidates). Per class,
+    optimum (`relaxed`) gives a valid upper bound; integrity and
+    non-negativity are only enforced on the rounded candidates. Per class,
     `budget` roundings of the continuous optimum are drawn, each coordinate
     rounded down or up with probability equal to its fractional part, clipped
     to [0, coord_cap]; infeasible samples are repaired by greedy coordinate
-    moves toward the class centroid and discarded if repair fails. Returns the
-    feasible candidate of highest hinge loss (the first one on ties), or
-    no_candidate=True when none was found within the budget.
+    moves toward the class centroid and discarded if repair fails. Each
+    class's row is its feasible candidate of highest hinge loss (the first
+    one on ties); no_candidate is True when neither class found one.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -220,30 +211,18 @@ def max_loss_integer(
     cap = None if coord_cap is None else np.asarray(coord_cap, dtype=float)
 
     wrapped = FeasibleSet(kind="oracle", params=params, integer_features=True)
-    best_point = None
-    best_loss = -np.inf
-    per_class = []
-    for entry in relaxed.by_class:
-        y = entry.y
-        x_star = np.maximum(entry.point.x, 0.0)
+    X, losses = np.full((2, params.d), np.nan), np.full(2, -np.inf)
+    for i, y in enumerate((1, -1)):
+        x_star = np.maximum(relaxed.X[i], 0.0)
         if cap is not None:
             x_star = np.minimum(x_star, cap)
         cands = _round_candidates(rng, x_star, budget)
-        if _is_nonneg_integral(entry.point.x):
+        if _is_nonneg_integral(relaxed.X[i]):
             cands = np.vstack([np.round(x_star), cands])
         cands = np.maximum(cands, 0.0)
         if cap is not None:
             cands = np.minimum(cands, cap)
-        class_best, class_loss = _best_rounding(wrapped, model.theta, cands, y)
-        per_class.append(ClassBest(y=y, point=class_best, loss=class_loss if class_best else 0.0))
-        if class_best is not None and class_loss > best_loss:
-            best_loss, best_point = class_loss, class_best
-
-    return OracleResult(
-        point=best_point,
-        loss=relaxed.loss if best_point is None else best_loss,
-        relaxed_loss=relaxed.loss,
-        relaxed_point=relaxed.point,
-        by_class=tuple(per_class),
-        no_candidate=best_point is None,
-    )
+        x, loss = _best_rounding(wrapped, model.theta, cands, y)
+        if x is not None:
+            X[i], losses[i] = x, loss
+    return OracleResult(X, losses, relaxed)

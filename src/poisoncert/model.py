@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, LabeledPoint, _frozen_array
+from .data import Dataset, _frozen_array
 
 __all__ = [
     "LinearModel",
     "LossReport",
     "TrainConfig",
     "TrainingWarning",
-    "hinge_loss",
-    "hinge_subgradient",
     "evaluate",
     "train_erm",
     "generalization_bound",
@@ -68,22 +66,6 @@ class LinearModel:
 class LossReport:
     avg_hinge: float
     zero_one: float
-
-
-def hinge_loss(model: LinearModel, p: LabeledPoint) -> float:
-    """max(0, 1 - y<theta, x>) for a single point."""
-    if p.d != model.d:
-        raise ValueError(f"dimension mismatch: point has d={p.d}, model d={model.d}")
-    return max(0.0, 1.0 - p.y * float(model.theta @ p.x))
-
-
-def hinge_subgradient(model: LinearModel, p: LabeledPoint) -> np.ndarray:
-    """-y*x on the active side of the hinge (1 - y<theta,x> > 0), else zero."""
-    if p.d != model.d:
-        raise ValueError(f"dimension mismatch: point has d={p.d}, model d={model.d}")
-    if 1.0 - p.y * float(model.theta @ p.x) > 0.0:
-        return -p.y * p.x
-    return np.zeros(model.d)
 
 
 def _margins(theta, ds: Dataset):

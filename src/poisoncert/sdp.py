@@ -6,11 +6,12 @@ on-margin and one off-margin point per class. For fixed attack weights, the
 objective and every constraint are linear in the inner products among seven
 vectors (the four attack points, the two clean centroids, and the model), so
 the maximization becomes a semidefinite program over their 7x7 Gram matrix.
-This module builds that program, solves it with a small dense primal-dual
-interior-point method on the face of the PSD cone that the known vectors'
-Gram matrix fixes, checks each verdict with a dual bound or a Farkas ray,
-recovers attack vectors from the optimal Gram matrix, and searches the weight
-simplex by Monte Carlo.
+Attack weights are length-4 arrays of masses in the Gram variable order
+(a+, a-, b+, b-). This module builds that program, solves it with a small
+dense primal-dual interior-point method on the face of the PSD cone that the
+known vectors' Gram matrix fixes, checks each verdict with a dual bound or a
+Farkas ray, recovers attack vectors from the optimal Gram matrix, and searches
+the weight simplex by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "MU_PLUS",
     "MU_MINUS",
     "THETA",
-    "AttackWeights",
     "GramProgram",
     "SdpSolution",
     "SdpOracleResult",
@@ -63,29 +63,6 @@ class RecoveryError(ValueError):
 
 class SdpOracleError(RuntimeError):
     """No weight sample produced a usable SDP solution."""
-
-
-@dataclass(frozen=True)
-class AttackWeights:
-    """Masses of the four attack points, relative to clean mass 1.
-
-    The four masses sum to the poisoned fraction eps; the centroid update
-    divides by p_y plus the class's attack mass accordingly.
-    """
-
-    pi_a_plus: float
-    pi_b_plus: float
-    pi_a_minus: float
-    pi_b_minus: float
-
-    def __post_init__(self):
-        for name in ("pi_a_plus", "pi_b_plus", "pi_a_minus", "pi_b_minus"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-    def in_variable_order(self):
-        """Masses ordered like the Gram variables (a+, a-, b+, b-)."""
-        return np.array([self.pi_a_plus, self.pi_a_minus, self.pi_b_plus, self.pi_b_minus])
 
 
 def _sym(M):
@@ -167,11 +144,14 @@ def build_gram_program(
     stats: ClassStats,
     model: LinearModel,
     F: SphereSlabParams,
-    w: AttackWeights,
+    w: np.ndarray,
 ) -> GramProgram:
     """Assemble the 7x7 Gram-matrix program for fixed attack weights.
 
-    The poisoned centroid of class y is the fixed linear combination
+    `w` holds the four attack masses, relative to clean mass 1, in Gram
+    variable order (a+, a-, b+, b-); they sum to the poisoned fraction eps
+    and none may be negative. The poisoned centroid of class y is the fixed
+    linear combination
     mu_hat_y = (p_y mu_y + pi_{a,y} x_{a,y} + pi_{b,y} x_{b,y}) / q_y with
     q_y = p_y + pi_{a,y} + pi_{b,y}, so every sphere/slab constraint is a
     quadratic form in the seven vectors, i.e. linear in G. On-margin points
@@ -182,8 +162,11 @@ def build_gram_program(
     mu_p, mu_m, th = stats.mu_plus, stats.mu_minus, model.theta
     if not (mu_p.shape == mu_m.shape == th.shape):
         raise ValueError("centroid/model dimension mismatch")
+    w = np.asarray(w, dtype=float)
+    if w.shape != (4,) or (w < 0).any():
+        raise ValueError("attack weights must be 4 non-negative masses")
 
-    q = {1: stats.p_plus + w.pi_a_plus + w.pi_b_plus, -1: stats.p_minus + w.pi_a_minus + w.pi_b_minus}
+    q = {1: stats.p_plus + w[A_PLUS] + w[B_PLUS], -1: stats.p_minus + w[A_MINUS] + w[B_MINUS]}
     for label in (1, -1):
         if q[label] <= 0:
             raise ValueError(f"zero total mass for class {label}")
@@ -191,8 +174,8 @@ def build_gram_program(
     e = np.eye(n)
     # Coefficient vectors of mu_hat_y in the 7-vector basis.
     w_hat = {
-        1: (w.pi_a_plus * e[A_PLUS] + w.pi_b_plus * e[B_PLUS] + stats.p_plus * e[MU_PLUS]) / q[1],
-        -1: (w.pi_a_minus * e[A_MINUS] + w.pi_b_minus * e[B_MINUS] + stats.p_minus * e[MU_MINUS]) / q[-1],
+        1: (w[A_PLUS] * e[A_PLUS] + w[B_PLUS] * e[B_PLUS] + stats.p_plus * e[MU_PLUS]) / q[1],
+        -1: (w[A_MINUS] * e[A_MINUS] + w[B_MINUS] * e[B_MINUS] + stats.p_minus * e[MU_MINUS]) / q[-1],
     }
 
     known = (mu_p, mu_m, th)
@@ -201,7 +184,7 @@ def build_gram_program(
     eq_mats = [_sym(np.outer(e[MU_PLUS + i], e[MU_PLUS + j])) for i, j in zip(*iu)]
 
     ineq_mats, ineq_rhs = [], []
-    for i, label, mass in zip((A_PLUS, A_MINUS, B_PLUS, B_MINUS), _ATTACK_LABELS, w.in_variable_order()):
+    for i, label, mass in zip((A_PLUS, A_MINUS, B_PLUS, B_MINUS), _ATTACK_LABELS, w):
         u = e[i] - w_hat[label]
         if F.use_sphere:
             ineq_mats.append(_sym(np.outer(u, u)))
@@ -222,9 +205,9 @@ def build_gram_program(
         ineq_mats.append(side * label * _sym(np.outer(e[THETA], e[i])))
         ineq_rhs.append(side)
 
-    C = -w.pi_a_plus * _sym(np.outer(e[THETA], e[A_PLUS]))
-    C = C + w.pi_a_minus * _sym(np.outer(e[THETA], e[A_MINUS]))
-    const = w.pi_a_plus + w.pi_a_minus
+    C = -w[A_PLUS] * _sym(np.outer(e[THETA], e[A_PLUS]))
+    C = C + w[A_MINUS] * _sym(np.outer(e[THETA], e[A_MINUS]))
+    const = w[A_PLUS] + w[A_MINUS]
     return GramProgram(
         size=n,
         obj_const=const,
@@ -529,10 +512,9 @@ class SdpOracleResult:
     points: np.ndarray  # (4, d): attack vectors truncated to the data dimension
     points_full: np.ndarray  # (4, d_ext)
     labels: np.ndarray  # (4,)
-    masses: np.ndarray  # (4,), sums to eps
+    masses: np.ndarray  # (4,) in Gram variable order, sums to eps
     value: float
     expected_loss: float
-    weights: AttackWeights
     solution: SdpSolution
     program: GramProgram
 
@@ -542,14 +524,14 @@ def _zero_model_result(stats, model, F, eps):
     points at the class centroids (always feasible) attains the maximum eps.
     On the face theta's row vanishes and with it obj_coeff, so y = 0 is the
     dual that proves it."""
-    wts = AttackWeights(eps / 2, 0.0, eps / 2, 0.0)
-    prog = build_gram_program(stats, model, F, wts)
+    w = np.array([eps / 2, eps / 2, 0.0, 0.0])
+    prog = build_gram_program(stats, model, F, w)
     pts = np.stack([stats.mu_plus, stats.mu_minus, stats.mu_plus, stats.mu_minus])
     vecs = np.concatenate([pts, np.stack([stats.mu_plus, stats.mu_minus, model.theta])])
     G, y = vecs @ vecs.T, np.zeros(len(prog.rhs))
     value = prog.objective_value(G)
     sol = SdpSolution(G, value, "optimal", _residual_of(prog, G), 0, _dual_bound(prog, y, _face(prog)[0]), y)
-    return SdpOracleResult(pts, pts, np.array(_ATTACK_LABELS), wts.in_variable_order(), value, value / eps, wts, sol, prog)
+    return SdpOracleResult(pts, pts, np.array(_ATTACK_LABELS), w, value, value / eps, sol, prog)
 
 
 def max_loss_data_dependent(
@@ -567,10 +549,10 @@ def max_loss_data_dependent(
     """Maximize the expected hinge loss over attack distributions of mass eps.
 
     Draws `samples` weight vectors uniformly from the simplex (Dirichlet(1^4)
-    scaled by eps), solves the Gram SDP for each plus any caller-supplied
-    boundary weights, and keeps the best objective among the "optimal"
-    solves; theta = 0 has a closed form. Raises SdpOracleError with
-    diagnostics when no solve is optimal.
+    scaled by eps), solves the Gram SDP for each and for each row of the
+    caller's (m, 4) `extra_weights` (boundary supports), and keeps the best
+    objective among the "optimal" solves; theta = 0 has a closed form.
+    Raises SdpOracleError with diagnostics when no solve is optimal.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -579,26 +561,26 @@ def max_loss_data_dependent(
     if float(np.linalg.norm(model.theta)) == 0.0:
         return _zero_model_result(stats, model, F, eps)
     rng = np.random.default_rng(seed)
-    weight_list = [AttackWeights(*(eps * rng.dirichlet(np.ones(4)))) for _ in range(samples)]
-    weight_list.extend(extra_weights)
+    # Each draw fills (a+, b+, a-, b-) in turn; columns go to variable order.
+    draws = np.array([eps * rng.dirichlet(np.ones(4)) for _ in range(samples)])[:, [0, 2, 1, 3]]
+    weights = np.concatenate([draws, np.reshape(extra_weights, (-1, 4))])
 
     best = None
     statuses = []
-    for wts in weight_list:
-        prog = build_gram_program(stats, model, F, wts)
+    for w in weights:
+        prog = build_gram_program(stats, model, F, w)
         sol = solve_sdp(prog, tol=tol, max_iter=max_iter)
         statuses.append(sol.status)
         if sol.status == "optimal" and (best is None or sol.objective > best[1].objective):
-            best = (wts, sol, prog)
+            best = (w, sol, prog)
 
     if best is None:
         counts = {s: statuses.count(s) for s in sorted(set(statuses))}
-        raise SdpOracleError(f"all {len(weight_list)} weight draws failed; statuses={counts}")
-    wts, sol, prog = best
+        raise SdpOracleError(f"all {len(weights)} weight draws failed; statuses={counts}")
+    masses, sol, prog = best
     X_full = recover_vectors(sol.G_opt, stats.mu_plus, stats.mu_minus, model.theta)
     d = stats.mu_plus.shape[0]
     labels = np.array(_ATTACK_LABELS)
-    masses = wts.in_variable_order()
     theta_ext = np.zeros(X_full.shape[1])
     theta_ext[:d] = model.theta
     # Report the attained value of the recovered support; it matches the
@@ -612,7 +594,6 @@ def max_loss_data_dependent(
         masses=masses,
         value=value,
         expected_loss=value / eps,
-        weights=wts,
         solution=sol,
         program=prog,
     )

@@ -7,7 +7,7 @@ enumeration) and kept free of the code paths it checks.
 import numpy as np
 import pytest
 
-from poisoncert import FeasibleSet, LabeledPoint, max_loss_continuous, membership
+from poisoncert import Dataset, FeasibleSet, max_loss_continuous, membership_mask
 from poisoncert.data import _is_nonneg_integral
 from poisoncert.maxoracle import _repair_integer, _round_candidates
 
@@ -150,11 +150,16 @@ def grid_min_averaged_objective(D_c, attack, eps, rho, grid_n=200):
     return best
 
 
+def member(F, x, y, **kw):
+    """Membership of the single point (x, y): `membership_mask` on a one-row dataset."""
+    return bool(membership_mask(F, Dataset(np.asarray(x, dtype=float)[None, :], np.array([y])), **kw)[0])
+
+
 def loop_max_loss_integer(params, model, budget, seed, coord_cap=None):
-    """The integer oracle one candidate at a time: a LabeledPoint and a
-    `membership` call per rounding, repair on rejection, strict `>` so the
-    first best candidate wins. Shares the relaxation, the random roundings and
-    the repair walk with the vectorized oracle; checks its batching.
+    """The integer oracle one candidate at a time: a one-row membership check
+    per rounding, repair on rejection, strict `>` so the first best candidate
+    wins. Shares the relaxation, the random roundings and the repair walk with
+    the vectorized oracle; checks its batching.
 
     Returns (x or None, loss, label, number of successful repairs).
     """
@@ -164,34 +169,29 @@ def loop_max_loss_integer(params, model, budget, seed, coord_cap=None):
     rng = np.random.default_rng(seed)
     cap = None if coord_cap is None else np.asarray(coord_cap, dtype=float)
     best, best_loss, repairs = None, -np.inf, 0
-    for entry in relaxed.by_class:
-        y = entry.y
-        x_star = np.maximum(entry.point.x, 0.0)
+    for x_relaxed, y in zip(relaxed.X, (1, -1)):
+        x_star = np.maximum(x_relaxed, 0.0)
         if cap is not None:
             x_star = np.minimum(x_star, cap)
-        first = [np.round(x_star)] if _is_nonneg_integral(entry.point.x) else []
+        first = [np.round(x_star)] if _is_nonneg_integral(x_relaxed) else []
         class_best, class_loss = None, -np.inf
         for cand in first + list(_round_candidates(rng, x_star, budget)):
             cand = np.maximum(cand, 0.0)
             if cap is not None:
                 cand = np.minimum(cand, cap)
-            p = LabeledPoint(cand, y, integer_features=True)
-            if not membership(wrapped, p):
-                repaired = _repair_integer(cand, params, y)
-                if repaired is None:
-                    continue
-                p = LabeledPoint(repaired, y, integer_features=True)
-                if not membership(wrapped, p):
+            if not member(wrapped, cand, y):
+                cand = _repair_integer(cand, params, y)
+                if cand is None or not member(wrapped, cand, y):
                     continue
                 repairs += 1
-            loss = max(0.0, 1.0 - y * float(theta @ p.x))
+            loss = max(0.0, 1.0 - y * float(theta @ cand))
             if loss > class_loss:
-                class_loss, class_best = loss, p
+                class_loss, class_best = loss, cand
         if class_best is not None and class_loss > best_loss:
-            best_loss, best = class_loss, class_best
+            best_loss, best = class_loss, (class_best, y)
     if best is None:
-        return None, relaxed.loss, None, repairs
-    return best.x, best_loss, best.y, repairs
+        return None, None, None, repairs
+    return best[0], best_loss, best[1], repairs
 
 
 

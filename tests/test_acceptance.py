@@ -14,7 +14,7 @@ import pytest
 
 import poisoncert as pc
 from poisoncert.cli import main as cli_main
-from poisoncert.sdp import AttackWeights, build_gram_program, recover_vectors, solve_sdp
+from poisoncert.sdp import build_gram_program, recover_vectors, solve_sdp
 
 from oracles import brute_force_a_only, check_dual, grid_max_hinge_fixed, grid_min_averaged_objective
 
@@ -101,13 +101,13 @@ def test_criterion_3_oracle_exactness():
         model = pc.LinearModel(theta, float(np.linalg.norm(theta)) + 1e-9)
         res = pc.max_loss_continuous(params, model)
         F = pc.FeasibleSet("oracle", params)
-        for entry in res.by_class:
-            grid_loss, _ = grid_max_hinge_fixed(params, theta, entry.y, step=4e-3)
-            worst_gap = max(worst_gap, grid_loss - entry.loss)
+        for x, y, loss in zip(res.X, (1, -1), res.losses):
+            grid_loss, _ = grid_max_hinge_fixed(params, theta, y, step=4e-3)
+            worst_gap = max(worst_gap, grid_loss - loss)
             slacks = []
-            diff = entry.point.x - params.mu(entry.y)
-            slacks.append(np.linalg.norm(diff) - params.r(entry.y))
-            slacks.append(abs(diff @ params.centroid_vec(entry.y)) - params.s(entry.y))
+            diff = x - params.mu(y)
+            slacks.append(np.linalg.norm(diff) - params.r(y))
+            slacks.append(abs(diff @ params.centroid_vec(y)) - params.s(y))
             worst_violation = max(worst_violation, max(slacks))
         instances += 1
     ok = worst_gap <= 1e-3 and worst_violation <= 1e-9
@@ -135,7 +135,7 @@ def test_criterion_4_sdp_desk_scale():
         stats = pc.class_stats(ds)
         params = pc.calibrate_thresholds(ds, stats, keep)
         model = pc.train_erm(ds, 1.0)
-        w = AttackWeights(eps / 2, 0.0, eps / 2, 0.0)
+        w = np.array([eps / 2, eps / 2, 0.0, 0.0])
         prog = build_gram_program(stats, model, params, w)
         sol = solve_sdp(prog, tol=1e-10, max_iter=600_000)
         assert sol.status == "optimal"

@@ -6,7 +6,6 @@ import pytest
 from poisoncert import (
     Dataset,
     GaussianSpec,
-    LabeledPoint,
     LinearModel,
     ParseError,
     SphereSlabParams,
@@ -94,13 +93,15 @@ class TestFormats:
 
 
 class TestContainers:
-    def test_labeled_point_validation(self):
+    def test_one_row_validation(self):
         with pytest.raises(ValueError):
-            LabeledPoint(np.array([1.0]), 0)
+            Dataset(np.array([[1.0]]), np.array([0]))
         with pytest.raises(ValueError):
-            LabeledPoint(np.array([]), 1)
+            Dataset(np.zeros((1, 0)), np.array([1]))
         with pytest.raises(ValueError):
-            LabeledPoint(np.array([-1.0]), 1, integer_features=True)
+            Dataset(np.array([[-1.0]]), np.array([1]), integer_features=True)
+        with pytest.raises(ValueError):
+            Dataset(np.array([[0.5]]), np.array([1]), integer_features=True)
 
     def test_dataset_immutable(self):
         ds = Dataset(np.eye(2), np.array([1, -1]))
@@ -108,15 +109,14 @@ class TestContainers:
             ds.X[0, 0] = 5.0
 
     def test_constructors_leave_input_arrays_writeable(self):
-        X, y, x, theta = np.zeros((3, 2)), np.array([1, -1, 1]), np.zeros(2), np.zeros(2)
+        X, y, theta = np.zeros((3, 2)), np.array([1, -1, 1]), np.zeros(2)
         mu_p, mu_m = np.ones(2), -np.ones(2)
         instances = [
             (Dataset(X, y), ("X", "y")),
-            (LabeledPoint(x, 1), ("x",)),
             (LinearModel(theta, 1.0), ("theta",)),
             (SphereSlabParams(mu_p, mu_m, 1.0, 1.0, 1.0, 1.0), ("mu_plus", "mu_minus")),
         ]
-        for arr in (X, y, x, theta, mu_p, mu_m):
+        for arr in (X, y, theta, mu_p, mu_m):
             assert arr.flags.writeable
             arr[0] = arr[0]
         for obj, fields in instances:

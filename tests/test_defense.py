@@ -7,17 +7,17 @@ from poisoncert import (
     Dataset,
     FeasibleSet,
     GaussianSpec,
-    LabeledPoint,
     SphereSlabParams,
     StatsError,
     calibrate_thresholds,
     class_stats,
     filter_feasible,
     generate_gaussian,
-    membership,
     membership_mask,
     recompute_data_dependent,
 )
+
+from oracles import member
 
 
 def simple_params(**kw):
@@ -36,22 +36,22 @@ def simple_params(**kw):
 class TestMembership:
     def test_centroid_always_feasible(self):
         F = FeasibleSet("oracle", simple_params())
-        assert membership(F, LabeledPoint(np.array([1.0, 0.0]), 1))
-        assert membership(F, LabeledPoint(np.array([-1.0, 0.0]), -1))
+        assert member(F, np.array([1.0, 0.0]), 1)
+        assert member(F, np.array([-1.0, 0.0]), -1)
 
     def test_slab_violation(self):
         # <(0.3, 0), (2, 0)> = 0.6 > s = 0.5 even though the sphere holds.
         F = FeasibleSet("oracle", simple_params())
-        assert not membership(F, LabeledPoint(np.array([1.3, 0.0]), 1))
+        assert not member(F, np.array([1.3, 0.0]), 1)
 
     def test_sphere_violation(self):
         F = FeasibleSet("oracle", simple_params(s_plus=100.0, s_minus=100.0))
-        assert not membership(F, LabeledPoint(np.array([2.5, 0.0]), 1))
+        assert not member(F, np.array([2.5, 0.0]), 1)
 
     def test_integer_wrapper(self):
         F = FeasibleSet("oracle", simple_params(), integer_features=True)
-        assert not membership(F, LabeledPoint(np.array([0.5, 1.0]), 1))
-        assert membership(F, LabeledPoint(np.array([1.0, 0.0]), 1))
+        assert not member(F, np.array([0.5, 1.0]), 1)
+        assert member(F, np.array([1.0, 0.0]), 1)
 
     def test_kind_validated(self):
         with pytest.raises(ValueError):
@@ -60,7 +60,7 @@ class TestMembership:
     def test_boundary_tolerance(self):
         F = FeasibleSet("oracle", simple_params())
         x = np.array([1.0, 1.0 + 0.5e-9])  # a hair outside the sphere
-        assert membership(F, LabeledPoint(x, 1))
+        assert member(F, x, 1)
 
     def test_sphere_slab_homogeneity(self):
         # Scaling x, mu, r by c preserves the sphere; the slab needs s by c^2.
@@ -72,8 +72,8 @@ class TestMembership:
             r, s = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
             base = SphereSlabParams(mu_p, mu_m, r, r, s, s)
             scaled = SphereSlabParams(c * mu_p, c * mu_m, c * r, c * r, c * c * s, c * c * s)
-            a = membership(FeasibleSet("oracle", base), LabeledPoint(x, 1), atol=0.0)
-            b = membership(FeasibleSet("oracle", scaled), LabeledPoint(c * x, 1), atol=0.0)
+            a = member(FeasibleSet("oracle", base), x, 1, atol=0.0)
+            b = member(FeasibleSet("oracle", scaled), c * x, 1, atol=0.0)
             assert a == b
 
 
@@ -151,7 +151,7 @@ class TestFilter:
         params = calibrate_thresholds(ds, class_stats(ds), 0.6)
         F = FeasibleSet("oracle", params)
         out = filter_feasible(F, ds)
-        keep = [i for i in range(ds.n) if membership(F, ds.point(i))]
+        keep = [i for i in range(ds.n) if member(F, ds.X[i], ds.y[i])]
         assert np.array_equal(out.X, ds.X[keep])
         assert np.array_equal(out.y, ds.y[keep])
 
@@ -220,8 +220,8 @@ def test_oracle_membership_ignores_poison():
     st = class_stats(ds)
     params = calibrate_thresholds(ds, st, 0.8)
     F = FeasibleSet("oracle", params)
-    probe = LabeledPoint(st.mu_plus + 0.1, 1)
-    before = membership(F, probe)
+    probe = st.mu_plus + 0.1
+    before = member(F, probe, 1)
     # Oracle parameters are immutable; any poison-aware recomputation must go
     # through the data-dependent kind, so membership cannot drift.
-    assert membership(F, probe) == before
+    assert member(F, probe, 1) == before

@@ -8,10 +8,16 @@ from poisoncert import (
     UnboundedOracleError,
     max_loss_continuous,
     max_loss_integer,
-    membership,
 )
+from poisoncert.maxoracle import LABELS
 
-from oracles import enumerate_integer_max, grid_max_hinge_fixed, loop_max_loss_integer, random_feasible_points
+from oracles import enumerate_integer_max, grid_max_hinge_fixed, loop_max_loss_integer, member, random_feasible_points
+
+
+def winner(res):
+    """(x, label, loss) of the row np.argmax picks: the overall maximizer."""
+    k = int(np.argmax(res.losses))
+    return res.X[k], int(LABELS[k]), float(res.losses[k])
 
 
 def params_2d(r=1.0, s=0.5):
@@ -41,27 +47,26 @@ def random_params(rng, d):
 class TestContinuous:
     def test_zero_model(self):
         res = max_loss_continuous(params_2d(), LinearModel(np.zeros(2), 1.0))
-        assert res.loss == 1.0
-        assert np.allclose(res.point.x, [1.0, 0.0])
+        x, y, loss = winner(res)
+        assert loss == 1.0 and y == 1
+        assert np.allclose(x, [1.0, 0.0])
 
     def test_slab_limited_case(self):
         # Worked example: slab bound 0.25 along the axis, no orthogonal pull.
         res = max_loss_continuous(params_2d(), LinearModel(np.array([1.0, 0.0]), 2.0))
-        by = {e.y: e for e in res.by_class}
-        assert by[1].loss == pytest.approx(0.25, abs=1e-12)
-        assert np.allclose(by[1].point.x, [0.75, 0.0], atol=1e-12)
+        assert res.losses[0] == pytest.approx(0.25, abs=1e-12)
+        assert np.allclose(res.X[0], [0.75, 0.0], atol=1e-12)
         grid_loss, _ = grid_max_hinge_fixed(params_2d(), np.array([1.0, 0.0]), 1, step=1e-3)
-        assert by[1].loss >= grid_loss - 1e-3
+        assert res.losses[0] >= grid_loss - 1e-3
 
     def test_orthogonal_case(self):
         # s = 0 pins the slab coordinate; everything goes to the sphere.
         p = params_2d(r=1.0, s=0.0)
         res = max_loss_continuous(p, LinearModel(np.array([0.0, 1.0]), 2.0))
-        by = {e.y: e for e in res.by_class}
-        assert by[1].loss == pytest.approx(2.0, abs=1e-12)
-        assert np.allclose(by[1].point.x, [1.0, -1.0], atol=1e-12)
+        assert res.losses[0] == pytest.approx(2.0, abs=1e-12)
+        assert np.allclose(res.X[0], [1.0, -1.0], atol=1e-12)
         grid_loss, _ = grid_max_hinge_fixed(p, np.array([0.0, 1.0]), 1, step=1e-3)
-        assert by[1].loss >= grid_loss - 1e-3
+        assert res.losses[0] >= grid_loss - 1e-3
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_beats_plane_grid(self, d):
@@ -71,21 +76,19 @@ class TestContinuous:
             theta = rng.standard_normal(d)
             model = LinearModel(theta, float(np.linalg.norm(theta)) + 0.1)
             res = max_loss_continuous(params, model)
-            for label in (1, -1):
-                got = next(e for e in res.by_class if e.y == label)
+            for label, loss in zip(LABELS, res.losses):
                 grid_loss, _ = grid_max_hinge_fixed(params, theta, label, step=4e-3)
-                assert got.loss >= grid_loss - 1e-3
+                assert loss >= grid_loss - 1e-3
 
     def test_beats_random_feasible_points(self):
         rng = np.random.default_rng(7)
         params = random_params(rng, 3)
         theta = rng.standard_normal(3)
         res = max_loss_continuous(params, LinearModel(theta, 10.0))
-        for label in (1, -1):
-            entry = next(e for e in res.by_class if e.y == label)
+        for label, loss in zip(LABELS, res.losses):
             pts = random_feasible_points(params, label, 10_000, seed=1)
             losses = np.maximum(0.0, 1.0 - label * (pts @ theta))
-            assert entry.loss >= losses.max() - 1e-9
+            assert loss >= losses.max() - 1e-9
 
     def test_matches_slsqp(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -94,8 +97,7 @@ class TestContinuous:
             params = random_params(rng, 3)
             theta = rng.standard_normal(3)
             res = max_loss_continuous(params, LinearModel(theta, 10.0))
-            for label in (1, -1):
-                entry = next(e for e in res.by_class if e.y == label)
+            for label, loss in zip(LABELS, res.losses):
                 mu, r, s = params.mu(label), params.r(label), params.s(label)
                 v = params.centroid_vec(label)
                 cons = [
@@ -111,7 +113,7 @@ class TestContinuous:
                     )
                     if sol.success:
                         best = max(best, max(0.0, 1.0 - label * float(theta @ sol.x)))
-                assert entry.loss >= best - 1e-5
+                assert loss >= best - 1e-5
 
     def test_returned_point_feasible(self):
         rng = np.random.default_rng(23)
@@ -120,14 +122,15 @@ class TestContinuous:
             model = LinearModel(rng.standard_normal(4), 10.0)
             res = max_loss_continuous(params, model)
             F = FeasibleSet("oracle", params)
-            assert membership(F, res.point, atol=1e-9)
+            for x, label in zip(res.X, LABELS):
+                assert member(F, x, label, atol=1e-9)
 
     def test_monotone_in_radii(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             params = random_params(rng, 3)
             model = LinearModel(rng.standard_normal(3), 10.0)
-            base = max_loss_continuous(params, model).loss
+            base = max_loss_continuous(params, model).losses.max()
             bigger_r = SphereSlabParams(
                 params.mu_plus, params.mu_minus,
                 params.r_plus * 1.5, params.r_minus * 1.5,
@@ -138,8 +141,8 @@ class TestContinuous:
                 params.r_plus, params.r_minus,
                 params.s_plus * 1.5, params.s_minus * 1.5,
             )
-            assert max_loss_continuous(bigger_r, model).loss >= base - 1e-12
-            assert max_loss_continuous(bigger_s, model).loss >= base - 1e-12
+            assert max_loss_continuous(bigger_r, model).losses.max() >= base - 1e-12
+            assert max_loss_continuous(bigger_s, model).losses.max() >= base - 1e-12
 
     def test_max_loss_convex_in_theta(self):
         # Max of linear functions of theta is convex along any segment.
@@ -151,7 +154,7 @@ class TestContinuous:
             mix = t * th1 + (1 - t) * th2
 
             def val(theta):
-                return max_loss_continuous(params, LinearModel(theta, 10.0)).loss
+                return max_loss_continuous(params, LinearModel(theta, 10.0)).losses.max()
 
             assert val(mix) <= t * val(th1) + (1 - t) * val(th2) + 1e-9
 
@@ -160,9 +163,8 @@ class TestContinuous:
         params = SphereSlabParams(mu, mu.copy(), 1.0, 1.0, 0.0, 0.0)
         theta = np.array([3.0, 0.0])
         res = max_loss_continuous(params, LinearModel(theta, 5.0))
-        by = {e.y: e for e in res.by_class}
         # Slab reads |<x - mu, 0>| <= 0, always true: the ball alone binds.
-        assert by[1].loss == pytest.approx(1.0 - (theta @ mu - 1.0 * 3.0), abs=1e-9)
+        assert res.losses[0] == pytest.approx(1.0 - (theta @ mu - 1.0 * 3.0), abs=1e-9)
 
     def test_requires_sphere(self):
         p = SphereSlabParams(
@@ -175,9 +177,8 @@ class TestContinuous:
         # Symmetric geometry gives equal losses; the positive class wins.
         params = params_2d()
         res = max_loss_continuous(params, LinearModel(np.array([0.0, 1.0]), 2.0))
-        losses = [e.loss for e in res.by_class]
-        assert losses[0] == pytest.approx(losses[1], abs=1e-12)
-        assert res.point.y == 1
+        assert res.losses[0] == pytest.approx(res.losses[1], abs=1e-12)
+        assert winner(res)[1] == 1
 
 
 def integer_params(rng, d):
@@ -203,10 +204,11 @@ class TestInteger:
         )
         model = LinearModel(np.array([1.0, 0.0]), 2.0)
         res = max_loss_integer(params, model, budget=50, seed=0)
-        assert res.point.y == -1
-        assert np.allclose(res.point.x, [3.0, 2.0])
-        assert res.loss == pytest.approx(4.0, abs=1e-12)
-        assert res.loss == pytest.approx(res.relaxed_loss, abs=1e-12)
+        x, y, loss = winner(res)
+        assert y == -1
+        assert np.allclose(x, [3.0, 2.0])
+        assert loss == pytest.approx(4.0, abs=1e-12)
+        assert loss == pytest.approx(res.relaxed.losses.max(), abs=1e-12)
 
     def test_one_dimensional_rounding_argmax(self):
         # Negative class, objective grows with x: slab caps the continuous
@@ -217,12 +219,12 @@ class TestInteger:
         )
         model = LinearModel(np.array([1.0]), 2.0)
         res = max_loss_integer(params, model, budget=200, seed=3)
-        relaxed_neg = next(e for e in res.by_class if e.y == -1)
-        assert res.point.y == -1
-        assert res.point.x[0] == 2.0
-        assert res.loss == pytest.approx(3.0, abs=1e-12)
-        assert res.relaxed_loss == pytest.approx(3.5, abs=1e-12)
-        assert relaxed_neg.loss == pytest.approx(3.0, abs=1e-12)
+        x, y, loss = winner(res)
+        assert y == -1
+        assert x[0] == 2.0
+        assert loss == pytest.approx(3.0, abs=1e-12)
+        assert res.relaxed.losses.max() == pytest.approx(3.5, abs=1e-12)
+        assert res.losses[1] == pytest.approx(3.0, abs=1e-12)
 
     def test_loss_never_exceeds_relaxation(self):
         rng = np.random.default_rng(17)
@@ -230,7 +232,7 @@ class TestInteger:
             params = integer_params(rng, 3)
             model = LinearModel(rng.standard_normal(3), 10.0)
             res = max_loss_integer(params, model, budget=100, seed=5)
-            assert res.loss <= res.relaxed_loss + 1e-9
+            assert np.all(res.losses <= res.relaxed.losses + 1e-9)
 
     def test_candidate_feasible_and_integral(self):
         rng = np.random.default_rng(29)
@@ -239,11 +241,14 @@ class TestInteger:
             params = integer_params(rng, 3)
             model = LinearModel(rng.standard_normal(3), 10.0)
             res = max_loss_integer(params, model, budget=100, seed=7)
-            if res.point is None:
-                assert res.no_candidate
+            if res.no_candidate:
+                assert np.isnan(res.X).all()
                 continue
             F = FeasibleSet("oracle", params, integer_features=True)
-            assert membership(F, res.point)
+            found = res.losses > -np.inf
+            assert np.isnan(res.X[~found]).all()
+            for x, label in zip(res.X[found], LABELS[found]):
+                assert member(F, x, label)
             wrapped_checked += 1
         assert wrapped_checked >= 20
 
@@ -266,7 +271,7 @@ class TestInteger:
                 continue
             res = max_loss_integer(params, model, budget=1000, seed=int(rng.integers(0, 1000)), coord_cap=np.full(d, 3.0))
             total += 1
-            if res.point is not None and res.loss >= 0.95 * best:
+            if not res.no_candidate and winner(res)[2] >= 0.95 * best:
                 good += 1
         assert good >= 0.9 * total
 
@@ -278,8 +283,9 @@ class TestInteger:
         )
         model = LinearModel(np.array([1.0, 1.0]), 2.0)
         res = max_loss_integer(params, model, budget=100, seed=0)
-        assert res.no_candidate and res.point is None
-        assert res.loss == pytest.approx(res.relaxed_loss)
+        assert res.no_candidate
+        assert np.isnan(res.X).all() and np.all(res.losses == -np.inf)
+        assert np.isfinite(res.relaxed.losses).all()
 
     def test_matches_per_candidate_reference(self):
         # Same point and loss as checking each rounding on its own, with and
@@ -303,9 +309,10 @@ class TestInteger:
             repairs += n_rep
             if x is None:
                 empty += 1
-                assert res.no_candidate and res.point is None
+                assert res.no_candidate
             else:
-                assert res.point.y == y
-                assert np.array_equal(res.point.x, x)
-                assert res.loss == loss
+                got_x, got_y, got_loss = winner(res)
+                assert got_y == y
+                assert np.array_equal(got_x, x)
+                assert got_loss == loss
         assert repairs > 0 and capped > 0 and empty > 0

@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 from poisoncert import (
     Dataset,
     GaussianSpec,
-    LabeledPoint,
     LinearModel,
     TrainConfig,
     class_stats,
     evaluate,
     generate_gaussian,
     generalization_bound,
-    hinge_loss,
-    hinge_subgradient,
     split_train_test,
     train_erm,
 )
+from poisoncert.certify import _clean_loss_and_grad
 
 from oracles import loop_hinge_report
 
@@ -28,42 +26,50 @@ def model(theta, rho=10.0):
     return LinearModel(np.asarray(theta, dtype=float), rho)
 
 
+def one_row(x, y):
+    return Dataset(np.asarray(x, dtype=float)[None, :], np.array([y]))
+
+
+def hinge(theta, x, y):
+    """Hinge loss of the single point (x, y) through `evaluate`."""
+    return evaluate(model(theta), one_row(x, y)).avg_hinge
+
+
 class TestHinge:
     def test_zero_model_loss_one(self):
-        p = LabeledPoint(np.array([3.0, -2.0]), -1)
-        assert hinge_loss(model([0.0, 0.0]), p) == 1.0
+        assert hinge([0.0, 0.0], [3.0, -2.0], -1) == 1.0
 
     def test_direct_value(self):
-        p = LabeledPoint(np.array([-1.0, 0.0]), 1)
-        assert hinge_loss(model([1.0, 0.0]), p) == 2.0
+        assert hinge([1.0, 0.0], [-1.0, 0.0], 1) == 2.0
 
     def test_margin_boundary_zero(self):
-        p = LabeledPoint(np.array([1.0, 0.0]), 1)
-        assert hinge_loss(model([1.0, 0.0]), p) == 0.0
+        assert hinge([1.0, 0.0], [1.0, 0.0], 1) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            hinge_loss(model([1.0, 0.0]), LabeledPoint(np.array([1.0]), 1))
+            hinge([1.0, 0.0], [1.0], 1)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 10_000), st.floats(0.0, 1.0))
     def test_convex_in_theta(self, seed, t):
         rng = np.random.default_rng(seed)
         th1, th2 = rng.standard_normal(3), rng.standard_normal(3)
-        p = LabeledPoint(rng.standard_normal(3), 1 if rng.random() < 0.5 else -1)
-        mix = hinge_loss(model(t * th1 + (1 - t) * th2), p)
-        bound = t * hinge_loss(model(th1), p) + (1 - t) * hinge_loss(model(th2), p)
+        x, y = rng.standard_normal(3), 1 if rng.random() < 0.5 else -1
+        mix = hinge(t * th1 + (1 - t) * th2, x, y)
+        bound = t * hinge(th1, x, y) + (1 - t) * hinge(th2, x, y)
         assert mix <= bound + 1e-12
 
 
 class TestSubgradient:
+    """The clean-loss gradient the certification loop steps along."""
+
     def test_active_side(self):
-        p = LabeledPoint(np.array([2.0, 0.0]), 1)
-        assert np.allclose(hinge_subgradient(model([0.0, 0.0]), p), [-2.0, 0.0])
+        _, g = _clean_loss_and_grad(np.zeros(2), one_row([2.0, 0.0], 1))
+        assert np.allclose(g, [-2.0, 0.0])
 
     def test_flat_region_zero(self):
-        p = LabeledPoint(np.array([5.0, 0.0]), 1)
-        assert np.allclose(hinge_subgradient(model([1.0, 0.0]), p), 0.0)
+        _, g = _clean_loss_and_grad(np.array([1.0, 0.0]), one_row([5.0, 0.0], 1))
+        assert np.allclose(g, 0.0)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -71,16 +77,15 @@ class TestSubgradient:
         h = 1e-6
         while checked < 40:
             theta = rng.standard_normal(4)
-            p = LabeledPoint(rng.standard_normal(4), 1 if rng.random() < 0.5 else -1)
-            margin_gap = 1.0 - p.y * float(theta @ p.x)
-            if abs(margin_gap) <= 1e-4:
-                continue
+            ds = Dataset(rng.standard_normal((3, 4)), rng.choice([-1, 1], size=3))
+            if np.abs(1.0 - ds.y * (ds.X @ theta)).min() <= 1e-4:
+                continue  # theta at a kink of some point's hinge
             direction = rng.standard_normal(4)
-            m = model(theta)
-            g = hinge_subgradient(m, p)
+            loss, g = _clean_loss_and_grad(theta, ds)
+            assert loss == pytest.approx(evaluate(model(theta), ds).avg_hinge, abs=1e-12)
             num = (
-                hinge_loss(model(theta + h * direction), p)
-                - hinge_loss(model(theta - h * direction), p)
+                _clean_loss_and_grad(theta + h * direction, ds)[0]
+                - _clean_loss_and_grad(theta - h * direction, ds)[0]
             ) / (2 * h)
             assert abs(num - float(g @ direction)) < 1e-6
             checked += 1

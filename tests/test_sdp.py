@@ -3,7 +3,6 @@ import pytest
 
 import poisoncert.sdp as sdp_mod
 from poisoncert import (
-    AttackWeights,
     FeasibleSet,
     GaussianSpec,
     GramProgram,
@@ -64,7 +63,7 @@ class TestPsdProject:
 class TestBuildProgram:
     def test_zero_weights(self):
         ds, stats, params, model = setup_instance()
-        prog = build_gram_program(stats, model, params, AttackWeights(0, 0, 0, 0))
+        prog = build_gram_program(stats, model, params, np.zeros(4))
         assert prog.obj_const == 0.0
         assert np.allclose(prog.obj_coeff, 0.0)
         # No margin constraints remain (rows are sphere, slab+, slab- per
@@ -98,7 +97,7 @@ class TestBuildProgram:
     def test_single_mass_objective_coefficients(self):
         ds, stats, params, model = setup_instance()
         eps = 0.2
-        prog = build_gram_program(stats, model, params, AttackWeights(eps, 0, 0, 0))
+        prog = build_gram_program(stats, model, params, np.array([eps, 0, 0, 0]))
         assert prog.obj_const == pytest.approx(eps)
         C = prog.obj_coeff
         # One symmetrized pair carries -eps; everything else is zero.
@@ -114,8 +113,7 @@ class TestBuildProgram:
         ds, stats, params, model = setup_instance(seed=8, d=3)
         rng = np.random.default_rng(9)
         eps = 0.25
-        u = rng.dirichlet(np.ones(4)) * eps
-        w = AttackWeights(*u)
+        w = (rng.dirichlet(np.ones(4)) * eps)[[0, 2, 1, 3]]
         prog = build_gram_program(stats, model, params, w)
 
         vecs = np.zeros((7, 7))
@@ -125,19 +123,13 @@ class TestBuildProgram:
         vecs[THETA, :3] = model.theta
         G = vecs @ vecs.T
 
-        masses = {
-            (A_PLUS, 1): w.pi_a_plus,
-            (B_PLUS, 1): w.pi_b_plus,
-            (A_MINUS, -1): w.pi_a_minus,
-            (B_MINUS, -1): w.pi_b_minus,
-        }
         q = {
-            1: stats.p_plus + w.pi_a_plus + w.pi_b_plus,
-            -1: stats.p_minus + w.pi_a_minus + w.pi_b_minus,
+            1: stats.p_plus + w[A_PLUS] + w[B_PLUS],
+            -1: stats.p_minus + w[A_MINUS] + w[B_MINUS],
         }
         mu_hat = {
-            1: (stats.p_plus * vecs[MU_PLUS] + w.pi_a_plus * vecs[A_PLUS] + w.pi_b_plus * vecs[B_PLUS]) / q[1],
-            -1: (stats.p_minus * vecs[MU_MINUS] + w.pi_a_minus * vecs[A_MINUS] + w.pi_b_minus * vecs[B_MINUS]) / q[-1],
+            1: (stats.p_plus * vecs[MU_PLUS] + w[A_PLUS] * vecs[A_PLUS] + w[B_PLUS] * vecs[B_PLUS]) / q[1],
+            -1: (stats.p_minus * vecs[MU_MINUS] + w[A_MINUS] * vecs[A_MINUS] + w[B_MINUS] * vecs[B_MINUS]) / q[-1],
         }
         # Documented row order: equalities G[i, j] for i <= j over the known
         # vectors, then per point sphere, slab+, slab- and (all masses are
@@ -160,7 +152,7 @@ class TestBuildProgram:
             assert next(got) == pytest.approx(expect, abs=1e-10)
         assert next(got, None) is None
         # Objective: mass-weighted active-point hinge terms.
-        expect_obj = w.pi_a_plus * (1 - vecs[THETA] @ vecs[A_PLUS]) + w.pi_a_minus * (
+        expect_obj = w[A_PLUS] * (1 - vecs[THETA] @ vecs[A_PLUS]) + w[A_MINUS] * (
             1 + vecs[THETA] @ vecs[A_MINUS]
         )
         assert prog.objective_value(G) == pytest.approx(float(expect_obj), abs=1e-10)
@@ -175,7 +167,13 @@ class TestBuildProgram:
             radius_bound=stats.radius_bound,
         )
         with pytest.raises(ValueError):
-            build_gram_program(bad_stats, model, params, AttackWeights(0, 0, 0, 0))
+            build_gram_program(bad_stats, model, params, np.zeros(4))
+
+    def test_weights_validated(self):
+        ds, stats, params, model = setup_instance()
+        for w in ([0.1, -1e-12, 0.1, 0.0], [0.1, 0.1, 0.0], np.zeros((1, 4))):
+            with pytest.raises(ValueError):
+                build_gram_program(stats, model, params, w)
 
 
 class TestSolve:
@@ -200,7 +198,7 @@ class TestSolve:
 
     def test_zero_objective_feasible(self):
         ds, stats, params, model = setup_instance()
-        w = AttackWeights(0.1, 0.05, 0.1, 0.05)
+        w = np.array([0.1, 0.1, 0.05, 0.05])
         prog = build_gram_program(stats, model, params, w)
         prog.obj_coeff = np.zeros_like(prog.obj_coeff)
         prog.obj_const = 0.0
@@ -211,7 +209,7 @@ class TestSolve:
 
     def test_infeasible_known_block(self):
         ds, stats, params, model = setup_instance()
-        prog = build_gram_program(stats, model, params, AttackWeights(0.1, 0, 0.1, 0))
+        prog = build_gram_program(stats, model, params, np.array([0.1, 0.1, 0, 0]))
         prog.known_gram = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]])
         sol = solve_sdp(prog)
         assert sol.status == "infeasible"
@@ -219,7 +217,7 @@ class TestSolve:
 
     def test_monotone_in_thresholds(self):
         ds, stats, params, model = setup_instance(seed=12)
-        w = AttackWeights(0.15, 0.0, 0.15, 0.0)
+        w = np.array([0.15, 0.15, 0.0, 0.0])
         base = solve_sdp(build_gram_program(stats, model, params, w), tol=1e-8).objective
         import dataclasses
 
@@ -237,7 +235,7 @@ class TestSolve:
         # ||theta||: the solver reports infeasible rather than looping.
         ds, stats, params, model = setup_instance()
         small = LinearModel(np.array([0.05, 0.0]), 2.0)
-        prog = build_gram_program(stats, small, params, AttackWeights(0.0, 0.15, 0.0, 0.15))
+        prog = build_gram_program(stats, small, params, np.array([0.0, 0.0, 0.15, 0.15]))
         sol = solve_sdp(prog, tol=1e-7, max_iter=40_000)
         assert sol.status == "infeasible"
         assert check_farkas(prog, sol.y) > 0
@@ -365,7 +363,7 @@ class TestDataDependentOracle:
         svals = []
         for eps in (1e-4, 1e-2):
             res = max_loss_data_dependent(stats, model, params, eps, samples=2, seed=0,
-                                          extra_weights=[AttackWeights(eps, 0, 0, 0)])
+                                          extra_weights=[[eps, 0, 0, 0]])
             svals.append(res.value)
         # Mass buys both hinge weight and centroid shift, so growth in eps is
         # at least linear; the small-eps value must vanish.
@@ -377,8 +375,8 @@ class TestDataDependentOracle:
         eps = 0.3
         res = max_loss_data_dependent(stats, model, params, eps, samples=1, seed=42)
         rng = np.random.default_rng(42)
-        w = AttackWeights(*(eps * rng.dirichlet(np.ones(4))))
-        assert res.weights == w
+        w = (eps * rng.dirichlet(np.ones(4)))[[0, 2, 1, 3]]
+        assert np.array_equal(res.masses, w)
         direct = solve_sdp(build_gram_program(stats, model, params, w), tol=1e-7, max_iter=100_000)
         # The reported value is the recovered support's attained loss, which
         # agrees with the raw solver objective to the feasibility tolerance.
@@ -388,7 +386,7 @@ class TestDataDependentOracle:
         ds, stats, params, model = setup_instance(seed=3, n=400)
         res = max_loss_data_dependent(
             stats, model, params, 0.3, samples=5, seed=1,
-            extra_weights=[AttackWeights(0.3, 0, 0, 0), AttackWeights(0.15, 0, 0.15, 0)],
+            extra_weights=[[0.3, 0, 0, 0], [0.15, 0.15, 0, 0]],
             tol=1e-9, max_iter=300_000,
         )
         theta_ext = np.zeros(res.points_full.shape[1])
@@ -401,7 +399,7 @@ class TestDataDependentOracle:
         ds, stats, params, model = setup_instance(seed=3, n=400)
         res = max_loss_data_dependent(
             stats, model, params, 0.3, samples=3, seed=2,
-            extra_weights=[AttackWeights(0.15, 0, 0.15, 0)], tol=1e-9, max_iter=300_000,
+            extra_weights=[[0.15, 0.15, 0, 0]], tol=1e-9, max_iter=300_000,
         )
         d_ext = res.points_full.shape[1]
         vecs = np.vstack([res.points_full, _pad3(np.stack([stats.mu_plus, stats.mu_minus, model.theta]), d_ext)])
@@ -437,17 +435,17 @@ class TestDataDependentOracle:
             kd = 4 - ka - kb - kc
             if kd < 0 or (kb == 0 and kd == 0):
                 continue
-            w = AttackWeights(eps * ka / 4, eps * kb / 4, eps * kc / 4, eps * kd / 4)
+            w = np.array([eps * ka / 4, eps * kc / 4, eps * kb / 4, eps * kd / 4])
             sol = solve_sdp(build_gram_program(stats, model, params, w), tol=1e-8, max_iter=60_000)
             if sol.status == "optimal":
                 screened = max(screened, sol.objective)
         assert screened <= nested_best * 1.05
 
         corners = [
-            AttackWeights(eps, 0, 0, 0),
-            AttackWeights(0, 0, eps, 0),
-            AttackWeights(eps / 2, 0, eps / 2, 0),
-            AttackWeights(0, eps / 2, 0, eps / 2),
+            [eps, 0, 0, 0],
+            [0, eps, 0, 0],
+            [eps / 2, eps / 2, 0, 0],
+            [0, 0, eps / 2, eps / 2],
         ]
         res = max_loss_data_dependent(
             stats, model, params, eps, samples=200, seed=0,
@@ -462,5 +460,5 @@ class TestDataDependentOracle:
             # Only off-margin masses requested: unreachable at tiny theta.
             max_loss_data_dependent(
                 stats, tiny, params, 0.3, samples=1, seed=3,
-                extra_weights=[AttackWeights(0, 0.3, 0, 0)],
+                extra_weights=[[0, 0, 0.3, 0]],
             )

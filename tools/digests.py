@@ -64,6 +64,12 @@ def library_runs():
     dd = dict(sdp_samples=1, attack_samples=2, eval_steps=2, steps=2, sdp_max_iter=3000)
     yield "data_dependent", pc.certify_data_dependent(ds, F, 0.1, 2.0, seed=0, **dd)
     yield "data_dependent_eps0", pc.certify_data_dependent(ds, F, 0.0, 2.0, seed=0, **dd)
+    # The perfbench pair: the default eta starts at theta = 0 (closed form),
+    # eta = 10 reaches the norm-ball boundary, where draws turn infeasible.
+    ds, F = _gaussian(2, 80, 5, kind="data-dependent")
+    dd = dict(sdp_samples=1, attack_samples=2, eval_steps=2, steps=2, sdp_max_iter=20_000)
+    for eta in (None, 10.0):
+        yield f"dd_eta{eta}", pc.certify_data_dependent(ds, F, 0.25, 2.0, eta, seed=0, **dd)
 
 
 def cli_runs(root):
