@@ -154,10 +154,10 @@ def _load_dense(path) -> Dataset:
             toks = line.split(",")
             label = _parse_label(toks[0], path, line_no)
             try:
-                feats = [float(t) for t in toks[1:]]
+                feats = np.array(toks[1:], dtype=float)
             except ValueError:
                 raise ParseError(path, line_no, "unreadable feature value") from None
-            if not feats:
+            if not feats.size:
                 raise ParseError(path, line_no, "row has no features")
             if d is None:
                 d = len(feats)

@@ -28,7 +28,7 @@ _NORM_RTOL = 1e-9
 
 
 class TrainingWarning(UserWarning):
-    """Training stopped at the iteration budget before meeting the tolerance."""
+    """Training ran out of stages with the objective above 0 and still improving."""
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,10 @@ class LinearModel:
 
     def __post_init__(self):
         theta = _frozen_array(self.theta)
-        if theta.ndim != 1:
-            raise ValueError("theta must be a 1-d vector")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if theta.ndim != 1 or not np.isfinite(theta).all():
+            raise ValueError("theta must be a finite 1-d vector")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         nrm = float(np.linalg.norm(theta))
         if nrm > self.rho * (1 + _NORM_RTOL):
             raise ValueError(f"||theta|| = {nrm} exceeds rho = {self.rho}")
@@ -92,7 +92,8 @@ class TrainConfig:
     Within a stage the step is gamma_k / sqrt(t), with gamma_0 = rho over the
     weighted mean point norm; between stages gamma halves and the search
     restarts from the best iterate so far. Stops once a full stage improves
-    the best objective by less than `tol`.
+    the best objective by less than `tol`, or at once when an iterate reaches
+    objective 0, the global minimum.
     """
 
     stage_iters: int = 1200
@@ -100,15 +101,9 @@ class TrainConfig:
     tol: float = 1e-4
 
 
-def _weighted_objective_grad(theta, X, yv, wn):
+def _objective_active(theta, X, yv, wn):
     margins = yv * (X @ theta)
-    obj = float(wn @ np.maximum(0.0, 1.0 - margins))
-    active = margins < 1.0
-    if active.any():
-        grad = -(wn[active] * yv[active]) @ X[active]
-    else:
-        grad = np.zeros(X.shape[1])
-    return obj, grad
+    return float(wn @ np.maximum(0.0, 1.0 - margins)), margins < 1.0
 
 
 def train_erm(
@@ -123,8 +118,9 @@ def train_erm(
 
     Projected subgradient descent with 1/sqrt(t) steps and iterate averaging,
     run in stages of geometrically shrinking step scale; returns the best
-    iterate found. Emits TrainingWarning when the stage budget runs out while
-    the objective is still improving by more than the tolerance.
+    iterate found, which is the first one with objective 0 if any reaches it.
+    Emits TrainingWarning when the stage budget runs out while the objective
+    is still positive and improving by more than the tolerance.
     """
     if ds.n == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -134,51 +130,54 @@ def train_erm(
         wn = np.full(ds.n, 1.0 / ds.n)
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != (ds.n,) or (w < 0).any() or w.sum() <= 0:
-            raise ValueError("weights must be non-negative with positive sum")
+        if w.shape != (ds.n,) or not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
+            raise ValueError("weights must be finite and non-negative with positive sum")
         wn = w / w.sum()
+    wy = wn * yv
 
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
 
     grad_scale = max(float(wn @ np.linalg.norm(X, axis=1)), 1e-12)
     gamma0 = rho / grad_scale
 
     if init is not None:
         theta = np.array(init, dtype=float)
-        nrm = np.linalg.norm(theta)
+        if theta.shape != (ds.d,) or not np.isfinite(theta).all():
+            raise ValueError(f"init must be finite with shape ({ds.d},), got shape {theta.shape}")
+        nrm = math.sqrt(theta @ theta)
         if nrm > rho:
             theta *= rho / nrm
     else:
         theta = np.zeros(ds.d)
 
-    best_obj, _ = _weighted_objective_grad(theta, X, yv, wn)
+    best_obj = _objective_active(theta, X, yv, wn)[0]
     best_theta = theta.copy()
 
-    converged = False
     for stage in range(cfg.max_stages):
         gamma = gamma0 * 0.5**stage
         theta = best_theta.copy()
         theta_sum = np.zeros(ds.d)
         stage_start_best = best_obj
         for t in range(1, cfg.stage_iters + 1):
-            obj, grad = _weighted_objective_grad(theta, X, yv, wn)
+            obj, active = _objective_active(theta, X, yv, wn)
             if obj < best_obj:
                 best_obj, best_theta = obj, theta.copy()
-            theta = theta - (gamma / math.sqrt(t)) * grad
-            nrm = np.linalg.norm(theta)
+            if obj == 0.0:
+                break  # the global minimum: no later iterate can be kept
+            theta = theta + (gamma / math.sqrt(t)) * (wy[active] @ X[active])
+            nrm = math.sqrt(theta @ theta)
             if nrm > rho:
                 theta *= rho / nrm
             theta_sum += theta
-        avg = theta_sum / cfg.stage_iters
-        avg_obj, _ = _weighted_objective_grad(avg, X, yv, wn)
-        if avg_obj < best_obj:
-            best_obj, best_theta = avg_obj, avg
-        if stage_start_best - best_obj < cfg.tol:
-            converged = True
+        else:
+            avg = theta_sum / cfg.stage_iters
+            avg_obj = _objective_active(avg, X, yv, wn)[0]
+            if avg_obj < best_obj:
+                best_obj, best_theta = avg_obj, avg
+        if best_obj == 0.0 or stage_start_best - best_obj < cfg.tol:
             break
-
-    if not converged:
+    else:
         warnings.warn(
             f"train_erm hit the stage budget (best objective {best_obj:.6g} still improving)",
             TrainingWarning,

@@ -4,10 +4,21 @@ Everything here is deliberately brute-force (loops, grids, exhaustive
 enumeration) and kept free of the code paths it checks.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from poisoncert import Dataset, FeasibleSet, max_loss_continuous, membership_mask
+from poisoncert import (
+    Dataset,
+    FeasibleSet,
+    LinearModel,
+    TrainConfig,
+    TrainingWarning,
+    max_loss_continuous,
+    membership_mask,
+)
 from poisoncert.data import _is_nonneg_integral
 from poisoncert.maxoracle import _repair_integer, _round_candidates
 
@@ -35,6 +46,83 @@ def loop_hinge_report(theta, ds):
         if margin <= 0:
             errs += 1
     return total / ds.n, errs / ds.n
+
+
+def _weighted_objective_grad(theta, X, yv, wn):
+    margins = yv * (X @ theta)
+    obj = float(wn @ np.maximum(0.0, 1.0 - margins))
+    active = margins < 1.0
+    if active.any():
+        grad = -(wn[active] * yv[active]) @ X[active]
+    else:
+        grad = np.zeros(X.shape[1])
+    return obj, grad
+
+
+def loop_train_erm(ds, rho, config=None, *, weights=None, init=None):
+    """`train_erm` as it was before its objective-0 stop: every stage runs
+    all its passes, including those at objective 0 with a zero gradient, and
+    each pass builds the full subgradient. The faster solver must return the
+    same theta bit for bit.
+    """
+    if ds.n == 0:
+        raise ValueError("cannot train on an empty dataset")
+    cfg = config or TrainConfig()
+    X, yv = ds.X, ds.y.astype(float)
+    if weights is None:
+        wn = np.full(ds.n, 1.0 / ds.n)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (ds.n,) or (w < 0).any() or w.sum() <= 0:
+            raise ValueError("weights must be non-negative with positive sum")
+        wn = w / w.sum()
+
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+
+    grad_scale = max(float(wn @ np.linalg.norm(X, axis=1)), 1e-12)
+    gamma0 = rho / grad_scale
+
+    if init is not None:
+        theta = np.array(init, dtype=float)
+        nrm = np.linalg.norm(theta)
+        if nrm > rho:
+            theta *= rho / nrm
+    else:
+        theta = np.zeros(ds.d)
+
+    best_obj, _ = _weighted_objective_grad(theta, X, yv, wn)
+    best_theta = theta.copy()
+
+    converged = False
+    for stage in range(cfg.max_stages):
+        gamma = gamma0 * 0.5**stage
+        theta = best_theta.copy()
+        theta_sum = np.zeros(ds.d)
+        stage_start_best = best_obj
+        for t in range(1, cfg.stage_iters + 1):
+            obj, grad = _weighted_objective_grad(theta, X, yv, wn)
+            if obj < best_obj:
+                best_obj, best_theta = obj, theta.copy()
+            theta = theta - (gamma / math.sqrt(t)) * grad
+            nrm = np.linalg.norm(theta)
+            if nrm > rho:
+                theta *= rho / nrm
+            theta_sum += theta
+        avg = theta_sum / cfg.stage_iters
+        avg_obj, _ = _weighted_objective_grad(avg, X, yv, wn)
+        if avg_obj < best_obj:
+            best_obj, best_theta = avg_obj, avg
+        if stage_start_best - best_obj < cfg.tol:
+            converged = True
+            break
+
+    if not converged:
+        warnings.warn(
+            f"train_erm hit the stage budget (best objective {best_obj:.6g} still improving)",
+            TrainingWarning,
+        )
+    return LinearModel(best_theta, rho)
 
 
 def feasible_mask_points(params, X, label, atol=1e-9):

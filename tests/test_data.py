@@ -51,6 +51,27 @@ class TestFormats:
             load_dataset(p, "dense-csv")
         assert "2" in str(exc.value)
 
+    def test_dense_tokens_parse_like_float(self, tmp_path):
+        toks = [" 1.5 ", "1_0", "infinity", "-NaN", "-0", "1e-310", "0.1000000000000000055511151231257827"]
+        p = write(tmp_path, "d.csv", "1," + ",".join(toks) + "\n")
+        expect = np.array([float(t) for t in toks])
+        assert np.array_equal(load_dataset(p, "dense-csv").X[0], expect, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,abc", "unreadable feature value"),
+            ("1,0x10", "unreadable feature value"),
+            ("1,2.0,", "unreadable feature value"),
+            ("1", "row has no features"),
+        ],
+    )
+    def test_dense_row_errors(self, tmp_path, row, message):
+        p = write(tmp_path, "bad.csv", f"# header\n1,1.0\n{row}\n")
+        with pytest.raises(ParseError, match=f":3: {message}$") as exc:
+            load_dataset(p, "dense-csv")
+        assert exc.value.line_no == 3
+
     def test_inconsistent_dimension(self, tmp_path):
         p = write(tmp_path, "bad.csv", "1,1.0,2.0\n1,3.0\n")
         with pytest.raises(ParseError, match="expected 2"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from poisoncert import (
     GaussianSpec,
     LinearModel,
     TrainConfig,
+    TrainingWarning,
     class_stats,
     evaluate,
     generate_gaussian,
@@ -17,9 +19,9 @@ from poisoncert import (
     split_train_test,
     train_erm,
 )
-from poisoncert.certify import _clean_loss_and_grad
+from poisoncert.certify import _DD_TRAIN, _FIXED_TRAIN, _clean_loss_and_grad
 
-from oracles import loop_hinge_report
+from oracles import loop_hinge_report, loop_train_erm
 
 
 def model(theta, rho=10.0):
@@ -157,6 +159,55 @@ class TestTrainErm:
         ds = generate_gaussian(GaussianSpec(d=2, lam=1.0, n=50, seed=1))
         with pytest.warns(Warning):
             train_erm(ds, 2.0, TrainConfig(max_stages=1, stage_iters=5, tol=1e-15))
+
+    @staticmethod
+    def _reference_cases():
+        """(name, ds, rho, config, kwargs) for the bit-identity check."""
+        mixed = generate_gaussian(GaussianSpec(d=2, lam=1.0, n=60, seed=1))
+        separable = generate_gaussian(GaussianSpec(d=100, lam=3.0, n=80, seed=0))
+        small = TrainConfig(stage_iters=300, max_stages=8, tol=1e-7)
+        zero_w = np.ones(mixed.n)
+        zero_w[::3] = 0.0
+        at_zero = train_erm(separable, 2.0, small).theta
+        yield "non_separable", mixed, 2.0, small, {}
+        yield "separable", separable, 2.0, small, {}
+        yield "zero_weights", mixed, 1.5, small, {"weights": zero_w}
+        yield "init_outside_ball", mixed, 0.5, small, {"init": [3.0, -4.0]}
+        yield "init_at_zero_loss", separable, 2.0, small, {"init": at_zero}
+        yield "tiny_rho", mixed, 1e-9, small, {}
+        yield "fixed_train", mixed, 1.5, _FIXED_TRAIN, {}
+        yield "dd_train", separable, 2.0, _DD_TRAIN, {"init": 0.1 * at_zero}
+
+    def test_matches_reference(self):
+        for name, ds, rho, cfg, kw in self._reference_cases():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TrainingWarning)
+                got = train_erm(ds, rho, cfg, **kw).theta
+                want = loop_train_erm(ds, rho, cfg, **kw).theta
+            assert np.array_equal(got, want), name
+
+    def test_stops_at_zero_loss(self):
+        ds = generate_gaussian(GaussianSpec(d=100, lam=3.0, n=80, seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TrainingWarning)
+            m = train_erm(ds, 2.0, TrainConfig(max_stages=1, stage_iters=1000, tol=1e-9))
+        assert (ds.y * (ds.X @ m.theta) >= 1.0).all()
+
+    def test_non_finite_inputs_rejected(self):
+        ds = generate_gaussian(GaussianSpec(d=2, lam=1.0, n=20, seed=0))
+        with pytest.raises(ValueError, match="finite"):
+            train_erm(ds, 1.0, init=[np.nan, 0.0])
+        with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
+            train_erm(ds, 1.0, init=[0.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            train_erm(ds, 1.0, weights=np.full(ds.n, np.inf))
+        for rho in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                train_erm(ds, rho)
+            with pytest.raises(ValueError):
+                LinearModel(np.zeros(2), rho)
+        with pytest.raises(ValueError, match="finite"):
+            LinearModel(np.array([np.nan, 0.0]), 1.0)
 
 
 class TestGeneralizationBound:

@@ -55,6 +55,10 @@ def library_runs():
     yield "fixed_d2_steps40", pc.certify_fixed(ds, F, 0.1, 1.5, steps=40)
     ds, F = _gaussian(50, 400, 2)
     yield "fixed_d50", pc.certify_fixed(ds, F, 0.05, 2.0)
+    # 40 points in d = 20: the attacked data stay separable, so retraining
+    # reaches objective 0 (lower bound 0.0).
+    ds, F = _gaussian(20, 40, 0)
+    yield "fixed_d20_separable", pc.certify_fixed(ds, F, 0.05, 3.0)
     ds, F = _counts()
     yield "integer", pc.certify_fixed(ds, F, 0.1, 1.0, seed=3, rounding_budget=200)
     yield "integer_coord_cap", pc.certify_fixed(
