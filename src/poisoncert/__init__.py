@@ -12,11 +12,9 @@ from .attacks import GradientAttackResult, gradient_attack, label_flip_attack
 from .certify import (
     Certificate,
     CertificationError,
-    RdaState,
     StepRecord,
     certify_data_dependent,
     certify_fixed,
-    init_rda_state,
     rda_step,
     regret_bound_trace,
 )

@@ -24,6 +24,11 @@ best feasible (integer) row and its label as `result`. The SDP oracle's
 support is its four weighted points and `result` its whole answer. An
 oracle that raises `SdpOracleError` skips its step; more than a tenth of
 the steps skipped fails the run.
+
+The learner is the driver's cumulative gradient G and its lambda;
+`rda_step(G, rho, eta)` maps G to the next iterate. Each step leaves one
+`StepRecord`, and the certificate's step counts, duality gap and u and
+regret traces are read off that list of records.
 """
 
 from __future__ import annotations
@@ -42,11 +47,9 @@ from .maxoracle import LABELS, max_loss_continuous, max_loss_integer
 from .model import LinearModel, TrainConfig, train_erm
 
 __all__ = [
-    "RdaState",
     "StepRecord",
     "Certificate",
     "CertificationError",
-    "init_rda_state",
     "rda_step",
     "regret_bound_trace",
     "certify_fixed",
@@ -65,47 +68,14 @@ class CertificationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class RdaState:
-    """State of the adaptive dual-averaging learner.
+def rda_step(G: np.ndarray, rho: float, eta: float) -> tuple[np.ndarray, float]:
+    """Dual-averaging iterate for the cumulative gradient G: (theta, lambda).
 
-    theta = -G_t / lambda_t with lambda_t = max(1/eta, ||G_t||/rho): growing
-    lambda enforces the norm ball exactly while keeping lambda_t >= 1/eta.
+    theta = -G / lambda with lambda = max(1/eta, ||G||/rho): growing lambda
+    enforces the norm ball exactly while keeping lambda >= 1/eta.
     """
-
-    cumulative_gradient: np.ndarray
-    eta: float
-    lambda_t: float
-    rho: float
-    theta: np.ndarray
-
-
-def init_rda_state(d: int, rho: float, eta: float) -> RdaState:
-    if rho <= 0 or eta <= 0:
-        raise ValueError("rho and eta must be positive")
-    return RdaState(
-        cumulative_gradient=np.zeros(d),
-        eta=eta,
-        lambda_t=1.0 / eta,
-        rho=rho,
-        theta=np.zeros(d),
-    )
-
-
-def rda_step(state: RdaState, g: np.ndarray) -> RdaState:
-    """One dual-averaging update: accumulate g, rescale, renormalize theta."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != state.cumulative_gradient.shape:
-        raise ValueError("gradient dimension mismatch")
-    G = state.cumulative_gradient + g
-    lam = max(1.0 / state.eta, float(np.linalg.norm(G)) / state.rho)
-    return RdaState(
-        cumulative_gradient=G,
-        eta=state.eta,
-        lambda_t=lam,
-        rho=state.rho,
-        theta=-G / lam,
-    )
+    lam = max(1.0 / eta, float(np.linalg.norm(G)) / rho)
+    return -G / lam, lam
 
 
 def regret_bound_trace(grad_norms, lambdas, rho: float, eta: float) -> np.ndarray:
@@ -119,13 +89,10 @@ def regret_bound_trace(grad_norms, lambdas, rho: float, eta: float) -> np.ndarra
     lambdas = np.asarray(lambdas, dtype=float)
     if grad_norms.shape != lambdas.shape:
         raise ValueError("grad_norms and lambdas must align")
-    head = rho**2 / (2.0 * eta)
-    if grad_norms.size == 0:
-        return np.array([])
-    return head + np.cumsum(grad_norms**2 / (2.0 * lambdas))
+    return rho**2 / (2.0 * eta) + np.cumsum(grad_norms**2 / (2.0 * lambdas))
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepRecord:
     """Per-iteration trace entry of the certification loop."""
 
@@ -151,33 +118,56 @@ class StepRecord:
 
 @dataclass
 class Certificate:
-    """Upper/lower bounds with the candidate attack and instrumentation."""
+    """Upper/lower bounds with the candidate attack and instrumentation.
+
+    Step counts and the u and regret traces are read off `steps`.
+    """
 
     kind: str
     eps: float
     rho: float
     eta: float
     n_clean: int
-    n_steps: int
     upper_bound: float
     lower_bound: float
-    duality_gap: float
     attack: Dataset
     model_tilde: LinearModel
-    u_trace: np.ndarray
-    u_pre_trace: np.ndarray
-    regret_trace: np.ndarray
     steps: list = field(default_factory=list)
-    n_skipped: int = 0
     attack_masses: np.ndarray | None = None
     support_violation: float = 0.0
     notes: list = field(default_factory=list)
 
     @property
+    def n_steps(self):
+        return len(self.steps)
+
+    @property
+    def n_skipped(self):
+        return sum(s.skipped for s in self.steps)
+
+    @property
+    def duality_gap(self):
+        return self.upper_bound - self.lower_bound
+
+    def _live(self, name):
+        return np.array([getattr(s, name) for s in self.steps if not s.skipped])
+
+    @property
+    def u_trace(self):
+        return self._live("u_after")
+
+    @property
+    def u_pre_trace(self):
+        return self._live("u_before")
+
+    @property
+    def regret_trace(self):
+        return regret_bound_trace(self._live("grad_norm"), self._live("lambda_used"), self.rho, self.eta)
+
+    @property
     def avg_regret_bound(self):
-        if self.regret_trace.size == 0:
-            return 0.0
-        return float(self.regret_trace[-1]) / self.n_steps
+        regret = self.regret_trace
+        return float(regret[-1]) / self.n_steps if regret.size else 0.0
 
     def to_json_dict(self, config_echo=None):
         out = {
@@ -193,14 +183,11 @@ class Certificate:
             "avg_regret_bound": self.avg_regret_bound,
             "n_skipped": self.n_skipped,
             "support_violation": self.support_violation,
-            "attack": {
-                "labels": [int(v) for v in self.attack.y],
-                "X": [[float(v) for v in row] for row in self.attack.X],
-            },
+            "attack": {"labels": self.attack.y.tolist(), "X": self.attack.X.tolist()},
             "model_tilde": self.model_tilde.to_json_dict(),
-            "u_trace": [float(v) for v in self.u_trace],
-            "u_pre_trace": [float(v) for v in self.u_pre_trace],
-            "regret_trace": [float(v) for v in self.regret_trace],
+            "u_trace": self.u_trace.tolist(),
+            "u_pre_trace": self.u_pre_trace.tolist(),
+            "regret_trace": self.regret_trace.tolist(),
             "steps": [s.as_json() for s in self.steps],
             "notes": list(self.notes),
         }
@@ -240,22 +227,16 @@ def _hinge_sum(theta, X, y):
 def _degenerate_certificate(kind, D_c, rho, train_config):
     model = train_erm(D_c, rho, train_config)
     clean = _hinge_sum(model.theta, D_c.X, D_c.y) / D_c.n
-    empty = Dataset(np.zeros((0, D_c.d)), np.zeros(0, dtype=int))
     return Certificate(
         kind=kind,
         eps=0.0,
         rho=rho,
         eta=float("nan"),
         n_clean=D_c.n,
-        n_steps=0,
         upper_bound=clean,
         lower_bound=clean,
-        duality_gap=0.0,
-        attack=empty,
+        attack=Dataset(np.zeros((0, D_c.d)), np.zeros(0, dtype=int)),
         model_tilde=model,
-        u_trace=np.array([]),
-        u_pre_trace=np.array([]),
-        regret_trace=np.array([]),
     )
 
 
@@ -291,89 +272,62 @@ def _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, train_config,
     T = steps if steps is not None else attack_size
     if eta is None:
         eta = _default_eta(D_c, params, eps, T, rho)
+    if rho <= 0 or eta <= 0:
+        raise ValueError("rho and eta must be positive")
     rng = np.random.default_rng(seed)
     step_seeds = rng.integers(0, 2**63 - 1, size=T + 1)
 
-    state = init_rda_state(D_c.d, rho, eta)
-    records: list[StepRecord] = []
+    # The learner: cumulative gradient G, iterate theta and its lambda.
+    G = np.zeros(D_c.d)
+    theta, lam = np.zeros(D_c.d), 1.0 / eta
+    rows = []  # StepRecord fields but u_after, one tuple per step
     live = []
-    last_live: StepRecord | None = None
     for t in range(1, T + 1):
-        theta = state.theta
         try:
             step = oracle(theta, int(step_seeds[t - 1]))
         except sdp_mod.SdpOracleError as exc:
             logger.warning("step %d skipped: %s", t, exc)
-            records.append(
-                StepRecord(
-                    t=t,
-                    u_before=float("nan"),
-                    u_after=None,
-                    lambda_used=state.lambda_t,
-                    grad_norm=0.0,
-                    oracle_loss=float("nan"),
-                    skipped=True,
-                )
-            )
+            rows.append((t, float("nan"), lam, 0.0, float("nan"), True))
             continue
-        clean_loss, clean_grad = _clean_loss_and_grad(theta, D_c)
-        u_before = clean_loss + step.value
-        if last_live is not None:
-            last_live.u_after = u_before
+        clean_loss, g = _clean_loss_and_grad(theta, D_c)
         live.append((theta, step))
-
-        g = clean_grad.copy()
         for x, y, m in zip(step.points, step.labels, step.masses):
             if m > 0 and 1.0 - y * float(theta @ x) > 0.0:
                 g += m * (-float(y) * x)
-        lam_used = state.lambda_t
-        state = rda_step(state, g)
-        last_live = StepRecord(
-            t=t,
-            u_before=u_before,
-            u_after=None,
-            lambda_used=lam_used,
-            grad_norm=float(np.linalg.norm(g)),
-            oracle_loss=step.loss,
-        )
-        records.append(last_live)
+        rows.append((t, clean_loss + step.value, lam, float(np.linalg.norm(g)), step.loss, False))
+        G += g
+        theta, lam = rda_step(G, rho, eta)
 
-    n_skipped = len(records) - len(live)
+    n_skipped = len(rows) - len(live)
     if n_skipped > _MAX_SKIP_FRACTION * T:
         raise CertificationError(f"{n_skipped}/{T} oracle steps skipped (> {_MAX_SKIP_FRACTION:.0%})")
 
-    if last_live is not None:
+    # A live step's u_after is the next live step's u_before; the last one's
+    # is the objective at the final iterate, or its own u_before when the
+    # oracle fails there.
+    u_live = [u for _, u, _, _, _, skipped in rows if not skipped]
+    if live:
         try:
-            step_T = oracle(state.theta, int(step_seeds[T]))
-            clean_T, _ = _clean_loss_and_grad(state.theta, D_c)
-            last_live.u_after = clean_T + step_T.value
+            step_T = oracle(theta, int(step_seeds[T]))
+            u_live.append(_clean_loss_and_grad(theta, D_c)[0] + step_T.value)
         except sdp_mod.SdpOracleError as exc:
             logger.warning("final objective evaluation skipped: %s", exc)
-            last_live.u_after = last_live.u_before
-
-    live_records = [r for r in records if not r.skipped]
-    u_trace = np.array([r.u_after for r in live_records])
-    u_pre_trace = np.array([r.u_before for r in live_records])
-    regret_trace = regret_bound_trace(
-        [r.grad_norm for r in live_records], [r.lambda_used for r in live_records], rho, eta
-    )
-    upper = float(u_trace.min()) if u_trace.size else float("inf")
-    fields = assemble(live, attack_size, rng)
+            u_live.append(u_live[-1])
+    u_after = iter(u_live[1:])
+    records = [
+        StepRecord(t, u, None if skipped else next(u_after), lam_t, norm, loss, skipped)
+        for t, u, lam_t, norm, loss, skipped in rows
+    ]
+    upper = float(np.min(u_live[1:])) if live else float("inf")
     return Certificate(
         kind=kind,
         eps=eps,
         rho=rho,
         eta=eta,
         n_clean=n,
-        n_steps=T,
         upper_bound=upper,
-        duality_gap=upper - fields["lower_bound"],
-        u_trace=u_trace,
-        u_pre_trace=u_pre_trace,
-        regret_trace=regret_trace,
         steps=records,
-        n_skipped=n_skipped,
-        **fields,
+        **assemble(live, attack_size, rng),
     )
 
 
@@ -408,7 +362,10 @@ def certify_fixed(
         raise ValueError("certify_fixed requires an oracle (fixed) feasible set")
     params = F.params
     integer_mode = F.integer_features
-    weighted = False
+
+    def weighted(attack):
+        # With a `steps` override each attack point carries mass eps*n/attack.n.
+        return steps is not None and 0 < attack.n != math.floor(eps * D_c.n)
 
     def oracle(theta, step_seed):
         model = LinearModel(theta, rho)
@@ -425,8 +382,7 @@ def certify_fixed(
         found = None if res.no_candidate else (res.X[k].copy(), LABELS[k])
         return _OracleStep(relaxed.X[[i]], LABELS[[i]], np.array([eps]), eps * loss, loss, found)
 
-    def assemble(live, attack_size, _rng):
-        nonlocal weighted
+    def assemble(live, _attack_size, _rng):
         found = [step.result for _, step in live if step.result is not None]
         attack = Dataset(
             np.array([x for x, _ in found]) if found else np.zeros((0, D_c.d)),
@@ -434,10 +390,10 @@ def certify_fixed(
             integer_features=integer_mode,
         )
         n = D_c.n
-        # With a `steps` override each attack point carries mass eps*n/attack.n.
-        weighted = steps is not None and attack.n and attack.n != attack_size
-        scale = eps * n / attack.n if weighted else 1.0
-        weights = np.concatenate([np.ones(n), np.full(attack.n, scale)]) if weighted else None
+        scale, weights = 1.0, None
+        if weighted(attack):
+            scale = eps * n / attack.n
+            weights = np.concatenate([np.ones(n), np.full(attack.n, scale)])
         model_tilde = train_erm(concat(D_c, attack) if attack.n else D_c, rho, _FIXED_TRAIN, weights=weights)
         lower = (
             _hinge_sum(model_tilde.theta, D_c.X, D_c.y)
@@ -456,8 +412,8 @@ def certify_fixed(
         raise CertificationError(
             f"lower bound {lower:.9f} exceeds upper bound {upper:.9f} beyond tolerance"
         )
-    if not integer_mode and not weighted:
-        gap_bound = float(cert.regret_trace[-1]) / cert.n_steps + _SANDWICH_TOL
+    if not integer_mode and not weighted(cert.attack):
+        gap_bound = cert.avg_regret_bound + _SANDWICH_TOL
         if cert.duality_gap > gap_bound:
             raise CertificationError(
                 f"duality gap {cert.duality_gap:.9f} exceeds regret bound {gap_bound:.9f}"
@@ -468,8 +424,7 @@ def certify_fixed(
 def _support_violation(prog, points, mu_p, mu_m, theta):
     """Constraint violation of the (truncated) support under its own program."""
     vecs = np.concatenate([points, np.stack([mu_p, mu_m, theta])])
-    G = vecs @ vecs.T
-    return prog.max_violation(G)
+    return prog.max_violation(vecs @ vecs.T)
 
 
 def _corner_weights(eps):
@@ -478,14 +433,8 @@ def _corner_weights(eps):
     on-margin point, and the all-off-margin corner realizes a zero-loss
     attack against models the defense fully protects. Rows are weights in
     Gram variable order (a+, a-, b+, b-)."""
-    return np.array(
-        [
-            [eps, 0.0, 0.0, 0.0],
-            [0.0, eps, 0.0, 0.0],
-            [eps / 2, eps / 2, 0.0, 0.0],
-            [0.0, 0.0, eps / 2, eps / 2],
-        ]
-    )
+    h = eps / 2
+    return np.array([[eps, 0.0, 0.0, 0.0], [0.0, eps, 0.0, 0.0], [h, h, 0.0, 0.0], [0.0, 0.0, h, h]])
 
 
 def certify_data_dependent(
@@ -538,8 +487,7 @@ def certify_data_dependent(
         # Candidate attacks: sample multisets from the strongest distributions.
         strongest = sorted(live, key=lambda pair: -pair[1].value)[:eval_steps]
         n = D_c.n
-        best = None
-        warm_theta = None
+        best = warm_theta = None
         worst_support_violation = 0.0
         for theta_t, step in strongest:
             res = step.result

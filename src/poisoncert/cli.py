@@ -127,6 +127,15 @@ def _load_config(path):
     return cfg
 
 
+# Flags copied into the config as given: argparse dest -> dotted config path.
+_FLAG_PATHS = {
+    "rho": "rho", "eta": "eta", "sdp_samples": "sdp_samples", "out": "out", "jobs": "jobs",
+    "keep_fraction": "defense.keep_fraction", "kind": "attack.kind",
+    "d": "dataset.d", "lam": "dataset.lam", "n": "dataset.n",
+    "data_seed": "dataset.seed", "test_fraction": "dataset.test_fraction",
+}
+
+
 def _apply_overrides(cfg, args):
     if getattr(args, "eps", None):
         cfg["eps"] = [float(v) for v in args.eps.split(",")]
@@ -134,32 +143,13 @@ def _apply_overrides(cfg, args):
         cfg["seeds"] = [int(v) for v in args.seed.split(",")]
     if getattr(args, "defense", None):
         cfg["defense"]["kind"] = {"oracle": "oracle", "data-dep": "data-dependent"}[args.defense]
-    if getattr(args, "keep_fraction", None) is not None:
-        cfg["defense"]["keep_fraction"] = args.keep_fraction
-    if getattr(args, "rho", None) is not None:
-        cfg["rho"] = args.rho
-    if getattr(args, "eta", None) is not None:
-        cfg["eta"] = args.eta
     if getattr(args, "integer", False):
         cfg["defense"]["integer_features"] = True
-    if getattr(args, "sdp_samples", None) is not None:
-        cfg["sdp_samples"] = args.sdp_samples
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
-    if getattr(args, "jobs", None) is not None:
-        cfg["jobs"] = args.jobs
-    if getattr(args, "kind", None):
-        cfg["attack"]["kind"] = args.kind
-    if getattr(args, "d", None) is not None:
-        cfg["dataset"]["d"] = args.d
-    if getattr(args, "lam", None) is not None:
-        cfg["dataset"]["lam"] = args.lam
-    if getattr(args, "n", None) is not None:
-        cfg["dataset"]["n"] = args.n
-    if getattr(args, "data_seed", None) is not None:
-        cfg["dataset"]["seed"] = args.data_seed
-    if getattr(args, "test_fraction", None) is not None:
-        cfg["dataset"]["test_fraction"] = args.test_fraction
+    for dest, path in _FLAG_PATHS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            section, _, key = path.rpartition(".")
+            (cfg[section] if section else cfg)[key] = value
     return cfg
 
 

@@ -81,6 +81,9 @@ class Dataset:
             raise ValueError("y must have shape (n,)")
         if y.size and not np.all(np.isin(y, (-1, 1))):
             raise ValueError("labels must all be -1 or +1")
+        # min and max are non-finite iff some entry is, with no (n, d) temporary.
+        if X.size and not (math.isfinite(X.min()) and math.isfinite(X.max())):
+            raise ValueError("features must be finite (no NaN or inf)")
         if self.integer_features and X.size and not _is_nonneg_integral(X):
             raise ValueError("integer-flagged dataset has negative or non-integral values")
         object.__setattr__(self, "X", _frozen_array(X))
@@ -159,6 +162,8 @@ def _load_dense(path) -> Dataset:
                 raise ParseError(path, line_no, "unreadable feature value") from None
             if not feats.size:
                 raise ParseError(path, line_no, "row has no features")
+            if not np.isfinite(feats).all():
+                raise ParseError(path, line_no, "non-finite feature value")
             if d is None:
                 d = len(feats)
             elif len(feats) != d:
@@ -205,7 +210,7 @@ def _load_sparse(path) -> Dataset:
                     raise ParseError(path, line_no, f"index {idx} out of range for d={d}")
                 if idx in seen:
                     raise ParseError(path, line_no, f"duplicate index {idx}")
-                if val < 0 or abs(val - round(val)) > _INT_ATOL:
+                if not math.isfinite(val) or val < 0 or abs(val - round(val)) > _INT_ATOL:
                     raise ParseError(path, line_no, f"value {val_s!r} is not a non-negative integer")
                 seen.add(idx)
                 x[idx] = val
@@ -259,9 +264,6 @@ class ClassStats:
 
     def mu(self, label):
         return self.mu_plus if label == 1 else self.mu_minus
-
-    def p(self, label):
-        return self.p_plus if label == 1 else self.p_minus
 
 
 def class_stats(ds: Dataset) -> ClassStats:

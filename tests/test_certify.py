@@ -16,7 +16,6 @@ from poisoncert import (
     class_stats,
     evaluate,
     generate_gaussian,
-    init_rda_state,
     membership_mask,
     rda_step,
     regret_bound_trace,
@@ -35,31 +34,29 @@ def gaussian_fixture(n=600, seed=1, keep=0.7, d=2, kind="oracle"):
 
 class TestRdaStep:
     def test_zero_gradient_keeps_origin(self):
-        s = init_rda_state(2, rho=1.0, eta=1.0)
-        s = rda_step(s, np.zeros(2))
-        assert np.allclose(s.theta, 0.0)
-        assert s.lambda_t == 1.0
+        theta, lam = rda_step(np.zeros(2), rho=1.0, eta=1.0)
+        assert np.allclose(theta, 0.0)
+        assert lam == 1.0
 
     def test_boundary_case(self):
-        s = init_rda_state(2, rho=1.0, eta=1.0)
-        s = rda_step(s, np.array([3.0, 0.0]))
-        assert s.lambda_t == pytest.approx(3.0)
-        assert np.allclose(s.theta, [-1.0, 0.0])
-        assert np.linalg.norm(s.theta) == pytest.approx(1.0)
+        theta, lam = rda_step(np.array([3.0, 0.0]), rho=1.0, eta=1.0)
+        assert lam == pytest.approx(3.0)
+        assert np.allclose(theta, [-1.0, 0.0])
+        assert np.linalg.norm(theta) == pytest.approx(1.0)
 
     def test_interior_case(self):
-        s = init_rda_state(2, rho=1.0, eta=1.0)
-        s = rda_step(s, np.array([0.5, 0.0]))
-        assert s.lambda_t == pytest.approx(1.0)
-        assert np.allclose(s.theta, [-0.5, 0.0])
+        theta, lam = rda_step(np.array([0.5, 0.0]), rho=1.0, eta=1.0)
+        assert lam == pytest.approx(1.0)
+        assert np.allclose(theta, [-0.5, 0.0])
 
     def test_invariants_over_random_walk(self):
         rng = np.random.default_rng(0)
-        s = init_rda_state(3, rho=0.8, eta=0.37)
+        G = np.zeros(3)
         for _ in range(200):
-            s = rda_step(s, rng.standard_normal(3))
-            assert s.lambda_t >= 1.0 / 0.37 - 1e-12
-            assert np.linalg.norm(s.theta) <= 0.8 + 1e-12
+            G = G + rng.standard_normal(3)
+            theta, lam = rda_step(G, rho=0.8, eta=0.37)
+            assert lam >= 1.0 / 0.37 - 1e-12
+            assert np.linalg.norm(theta) <= 0.8 + 1e-12
 
 
 class TestRegretTrace:
@@ -227,6 +224,45 @@ class TestCertifyDataDependent:
         monkeypatch.setattr(certify_mod.sdp_mod, "max_loss_data_dependent", always_fail)
         with pytest.raises(CertificationError, match="skipped"):
             certify_data_dependent(ds, F, eps=0.25, rho=2.0, sdp_samples=2)
+
+
+def _run_with_oracle_failure(monkeypatch, failing_call):
+    """A 10-step data-dependent run whose oracle raises on its `failing_call`-th call."""
+    ds, F = gaussian_fixture(n=40, seed=3, kind="data-dependent")
+    real = certify_mod.sdp_mod.max_loss_data_dependent
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise SdpOracleError("forced failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify_mod.sdp_mod, "max_loss_data_dependent", flaky)
+    cert = certify_data_dependent(
+        ds, F, eps=0.1, rho=2.0, seed=0, steps=10, sdp_samples=1, attack_samples=2, eval_steps=2
+    )
+    assert len(calls) == 11  # ten steps and the final objective
+    return cert, [s.as_json() for s in cert.steps]
+
+
+def test_one_skipped_step_keeps_the_trace_consistent(monkeypatch):
+    cert, steps = _run_with_oracle_failure(monkeypatch, failing_call=2)
+    assert cert.n_steps == 10 and cert.n_skipped == 1
+    before, skipped, after = steps[0], steps[1], steps[2]
+    assert skipped["skipped"] and np.isnan(skipped["u_pre"]) and skipped["u_post"] is None
+    # No update happened, so the next live step runs with the same lambda.
+    assert skipped["lambda"] == after["lambda"]
+    assert len(cert.u_trace) == cert.n_steps - 1
+    assert before["u_post"] == after["u_pre"]
+    assert cert.upper_bound == min(cert.u_trace)
+
+
+def test_failed_final_objective_reuses_last_u_pre(monkeypatch):
+    cert, steps = _run_with_oracle_failure(monkeypatch, failing_call=11)
+    assert cert.n_skipped == 0
+    assert steps[-1]["u_post"] == steps[-1]["u_pre"]
+    assert all(a["u_post"] == b["u_pre"] for a, b in zip(steps, steps[1:]))
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,21 @@ class TestBound:
         assert out["R"] == pytest.approx(5.0)
         assert out["n"] == 2
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("inf.txt", "#d=2\n1 0:inf\n-1 1:1\n"),
+            ("nan.txt", "#d=2\n1 0:nan\n-1 1:1\n"),
+            ("nan.csv", "1,nan,0\n-1,1,inf\n"),
+        ],
+    )
+    def test_non_finite_data_is_parse_error(self, tmp_path, capsys, name, text):
+        data = tmp_path / name
+        data.write_text(text)
+        fmt = "sparse-text" if name.endswith(".txt") else "dense-csv"
+        assert run(["bound", "--data", str(data), "--format", fmt, "--rho", "1"]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
+
     def test_missing_args_config_error(self, capsys):
         assert run(["bound", "--rho", "1"]) == 1
 

@@ -52,10 +52,10 @@ class TestFormats:
         assert "2" in str(exc.value)
 
     def test_dense_tokens_parse_like_float(self, tmp_path):
-        toks = [" 1.5 ", "1_0", "infinity", "-NaN", "-0", "1e-310", "0.1000000000000000055511151231257827"]
+        toks = [" 1.5 ", "1_0", "-0", "1e-310", "0.1000000000000000055511151231257827"]
         p = write(tmp_path, "d.csv", "1," + ",".join(toks) + "\n")
         expect = np.array([float(t) for t in toks])
-        assert np.array_equal(load_dataset(p, "dense-csv").X[0], expect, equal_nan=True)
+        assert np.array_equal(load_dataset(p, "dense-csv").X[0], expect)
 
     @pytest.mark.parametrize(
         "row, message",
@@ -64,6 +64,8 @@ class TestFormats:
             ("1,0x10", "unreadable feature value"),
             ("1,2.0,", "unreadable feature value"),
             ("1", "row has no features"),
+            ("1,infinity", "non-finite feature value"),
+            ("1,-NaN", "non-finite feature value"),
         ],
     )
     def test_dense_row_errors(self, tmp_path, row, message):
@@ -86,6 +88,13 @@ class TestFormats:
         p = write(tmp_path, "bad.txt", "#d=3\n1 0:2.5\n")
         with pytest.raises(ParseError):
             load_dataset(p, "sparse-text")
+
+    @pytest.mark.parametrize("val", ["inf", "nan", "-inf"])
+    def test_sparse_rejects_non_finite(self, tmp_path, val):
+        p = write(tmp_path, "bad.txt", f"#d=3\n1 0:{val}\n")
+        with pytest.raises(ParseError, match=":2: value") as exc:
+            load_dataset(p, "sparse-text")
+        assert exc.value.line_no == 2
 
     def test_sparse_index_out_of_range(self, tmp_path):
         p = write(tmp_path, "bad.txt", "#d=3\n1 3:1\n")
@@ -144,6 +153,13 @@ class TestContainers:
             for name in fields:
                 with pytest.raises(ValueError):
                     getattr(obj, name)[0] = 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.eye(2)
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(X, np.array([1, -1]))
 
     def test_labels_checked(self):
         with pytest.raises(ValueError):

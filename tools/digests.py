@@ -7,9 +7,11 @@ Run from the repository root:
 
 and diff the files written on two checkouts. The script calls only
 `certify_fixed`, `certify_data_dependent` and `cli.main` with options both
-sides accept, so the same file runs on either. BLAS is held to one thread
-(set before numpy loads), since threaded reductions need not repeat bit for
-bit.
+sides accept, so the same file runs on either. Two data-dependent runs
+replace `certify.sdp_mod.max_loss_data_dependent` for their duration with a
+wrapper that fails one chosen call, so the skipped-step records are hashed
+too. BLAS is held to one thread (set before numpy loads), since threaded
+reductions need not repeat bit for bit.
 """
 
 import os
@@ -28,6 +30,7 @@ import warnings  # noqa: E402
 import numpy as np  # noqa: E402
 
 import poisoncert as pc  # noqa: E402
+import poisoncert.certify as certify_mod  # noqa: E402
 from poisoncert.cli import main as cli_main  # noqa: E402
 
 
@@ -43,6 +46,26 @@ def _counts():
     ds = pc.Dataset(X, np.array([1] * 60 + [-1] * 60), integer_features=True)
     params = pc.calibrate_thresholds(ds, pc.class_stats(ds), 0.8)
     return ds, pc.FeasibleSet("oracle", params, integer_features=True)
+
+
+@contextlib.contextmanager
+def _oracle_fails_on(call):
+    """Make the data-dependent oracle raise SdpOracleError on its `call`-th call."""
+    sdp = certify_mod.sdp_mod
+    real = sdp.max_loss_data_dependent
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise pc.SdpOracleError("forced failure")
+        return real(*args, **kwargs)
+
+    sdp.max_loss_data_dependent = flaky
+    try:
+        yield
+    finally:
+        sdp.max_loss_data_dependent = real
 
 
 def library_runs():
@@ -74,6 +97,14 @@ def library_runs():
     dd = dict(sdp_samples=1, attack_samples=2, eval_steps=2, steps=2, sdp_max_iter=20_000)
     for eta in (None, 10.0):
         yield f"dd_eta{eta}", pc.certify_data_dependent(ds, F, 0.25, 2.0, eta, seed=0, **dd)
+    # The skip path: ten steps where the oracle fails at step 2, or only at
+    # the final objective (its 11th call).
+    ds, F = _gaussian(2, 40, 3, kind="data-dependent")
+    dd = dict(sdp_samples=1, attack_samples=2, eval_steps=2, steps=10)
+    for call in (2, 11):
+        with _oracle_fails_on(call):
+            cert = pc.certify_data_dependent(ds, F, 0.1, 2.0, seed=0, **dd)
+        yield f"dd_fail_call{call}", cert
 
 
 def cli_runs(root):
