@@ -16,6 +16,7 @@ class's best point and its hinge loss. The overall maximizer is the row
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,59 +129,86 @@ def _round_candidates(rng, x_star, budget):
     return base + (draws < frac)
 
 
-def _repair_integer(x, params, y, max_steps=200):
-    """Walk coordinates toward mu_y, largest constraint contribution first."""
-    mu = params.mu(y)
-    v = params.centroid_vec(y)
-    x = x.copy()
-    for _ in range(max_steps):
-        diff = x - mu
-        sphere_slack = np.linalg.norm(diff) - params.r(y) if params.use_sphere else -1.0
-        slab_val = float(diff @ v) if params.use_slab else 0.0
-        slab_slack = abs(slab_val) - params.s(y) if params.use_slab else -1.0
-        if sphere_slack <= MEMBERSHIP_ATOL and slab_slack <= MEMBERSHIP_ATOL:
-            return x
-        if sphere_slack >= slab_slack:
-            contrib = diff**2
-        else:
-            contrib = np.sign(slab_val) * diff * v  # positive entries push the violation
-            contrib = np.where(contrib > 0, contrib, 0.0)
-        order = np.argsort(-contrib)
-        moved = False
-        for j in order:
-            if contrib[j] <= 0 or abs(diff[j]) < 0.5:
+# Rows of one repair walk. Blocks keep the walk's temporaries small: one
+# walk over all of integer-counts' ~800 rejected rows read 2.6 MB more peak RSS.
+_REPAIR_CHUNK = 128
+
+
+def _row_dots(A, B):
+    """A[i] @ B[i] per row (A[i] @ B for a 1-D B), each the same BLAS dot as a
+    1-D `a @ b`, so a batch's slacks equal one-row ones bit for bit."""
+    return (A[:, None, :] @ B[..., None]).reshape(len(A))
+
+
+def _repair_integer(X, params, y, cap=None, max_steps=200):
+    """Walk every row of X toward mu_y, one unit move per step, until it
+    passes the class's sphere and slab; returns the walked rows and a mask of
+    the rows that were repaired.
+
+    Per step, a row still outside moves the coordinate of largest constraint
+    contribution (diff**2 when the sphere slack is the larger, else the
+    slab's violating terms; ties in row-wise `np.argsort` order), passing
+    over moves that would leave [0, cap]. A row fails when the next
+    coordinate in that order contributes nothing or lies within 0.5 of mu_y,
+    when no coordinate can move, or after `max_steps` moves.
+    """
+    mu, v = params.mu(y), params.centroid_vec(y)
+    hi = np.full(params.d, np.inf) if cap is None else cap
+    out = np.array(X, dtype=float)
+    ok = np.zeros(out.shape[0], dtype=bool)
+    for start in range(0, out.shape[0], _REPAIR_CHUNK):
+        rows = np.arange(start, min(start + _REPAIR_CHUNK, out.shape[0]))
+        x = out[rows]
+        for _ in range(max_steps):
+            D = x - mu
+            off = np.full(len(rows), -1.0)  # the slack of a disabled constraint
+            sphere = np.sqrt(_row_dots(D, D)) - params.r(y) if params.use_sphere else off
+            slab_val = _row_dots(D, v) if params.use_slab else np.zeros(len(rows))
+            slab = np.abs(slab_val) - params.s(y) if params.use_slab else off
+            fit = (sphere <= MEMBERSHIP_ATOL) & (slab <= MEMBERSHIP_ATOL)
+            out[rows[fit]] = x[fit]
+            ok[rows[fit]] = True
+            # Positive slab terms push the violation.
+            push = np.sign(slab_val)[:, None] * D * v
+            C = np.where((sphere >= slab)[:, None], D**2, np.where(push > 0, push, 0.0))
+            order = np.argsort(-C, axis=1)
+            i, j = np.arange(len(rows)), order[:, 0]
+            moved = ~fit & (C[i, j] > 0) & (np.abs(D[i, j]) >= 0.5)
+            new = x[i, j] - np.sign(D[i, j])
+            inside = (new >= 0) & (new <= hi[j])
+            # Rare: the first move leaves [0, cap]; look further along the row.
+            for k in np.flatnonzero(moved & ~inside):
+                moved[k] = False
+                for jk in order[k, 1:]:
+                    if C[k, jk] <= 0 or abs(D[k, jk]) < 0.5:
+                        break
+                    val = x[k, jk] - np.sign(D[k, jk])
+                    if 0 <= val <= hi[jk]:
+                        moved[k], j[k], new[k] = True, jk, val
+                        break
+            x[i[moved], j[moved]] = new[moved]
+            x, rows = x[moved], rows[moved]
+            if not len(rows):
                 break
-            step = -np.sign(diff[j])
-            new_val = x[j] + step
-            if new_val < 0:
-                continue
-            x[j] = new_val
-            moved = True
-            break
-        if not moved:
-            return None
-    return None
+    return out, ok
 
 
-def _best_rounding(wrapped, theta, cands, y):
+def _best_rounding(wrapped, theta, cands, y, cap):
     """First candidate of highest hinge loss that passes the defense, rejected
     rows replaced by their repair, with its loss; (None, -inf) when none passes."""
     labels = np.full(cands.shape[0], y)
     ok = membership_mask(wrapped, Dataset(cands, labels))
     losses = np.where(ok, np.maximum(0.0, 1.0 - y * (cands @ theta)), -np.inf)
-    repaired = {}
-    for i in np.flatnonzero(~ok):
-        x = _repair_integer(cands[i], wrapped.params, y)
-        if x is not None:
-            repaired[int(i)] = x
-    if repaired:
-        R = np.array(list(repaired.values()))
+    rejected = np.flatnonzero(~ok)
+    R, repaired = _repair_integer(cands[rejected], wrapped.params, y, cap)
+    rejected, R = rejected[repaired], R[repaired]
+    if len(R):
         good = membership_mask(wrapped, Dataset(R, labels[: len(R)]))
-        losses[list(repaired)] = np.where(good, np.maximum(0.0, 1.0 - y * (R @ theta)), -np.inf)
+        losses[rejected] = np.where(good, np.maximum(0.0, 1.0 - y * (R @ theta)), -np.inf)
     j = int(np.argmax(losses))
     if losses[j] == -np.inf:
         return None, -np.inf
-    x = repaired.get(j, cands[j])
+    x = R[np.searchsorted(rejected, j)] if not ok[j] else cands[j]
     return x, max(0.0, 1.0 - y * float(theta @ x))
 
 
@@ -198,17 +226,25 @@ def max_loss_integer(
     optimum (`relaxed`) gives a valid upper bound; integrity and
     non-negativity are only enforced on the rounded candidates. Per class,
     `budget` roundings of the continuous optimum are drawn, each coordinate
-    rounded down or up with probability equal to its fractional part, clipped
-    to [0, coord_cap]; infeasible samples are repaired by greedy coordinate
-    moves toward the class centroid and discarded if repair fails. Each
-    class's row is its feasible candidate of highest hinge loss (the first
-    one on ties); no_candidate is True when neither class found one.
+    rounded down or up with probability equal to its fractional part, and
+    clipped to [0, coord_cap] (a (d,) array of non-negative caps; None for no
+    cap). The candidates the defense rejects take one batched repair walk of
+    unit moves toward the class centroid that never leaves [0, coord_cap];
+    a walked row is kept only if it then passes the defense. Each class's row
+    is its feasible candidate of highest hinge loss (the first one on ties);
+    no_candidate is True when neither class found one.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if not isinstance(budget, numbers.Integral) or budget < 1:
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
+    cap = None
+    if coord_cap is not None:
+        cap = np.asarray(coord_cap, dtype=float)
+        if cap.shape != (params.d,):
+            raise ValueError(f"coord_cap must have shape ({params.d},), got {cap.shape}")
+        if np.isnan(cap).any() or (cap < 0).any():
+            raise ValueError("coord_cap must be non-negative and not NaN")
     relaxed = max_loss_continuous(params, model)
     rng = np.random.default_rng(seed)
-    cap = None if coord_cap is None else np.asarray(coord_cap, dtype=float)
 
     wrapped = FeasibleSet(kind="oracle", params=params, integer_features=True)
     X, losses = np.full((2, params.d), np.nan), np.full(2, -np.inf)
@@ -222,7 +258,7 @@ def max_loss_integer(
         cands = np.maximum(cands, 0.0)
         if cap is not None:
             cands = np.minimum(cands, cap)
-        x, loss = _best_rounding(wrapped, model.theta, cands, y)
+        x, loss = _best_rounding(wrapped, model.theta, cands, y, cap)
         if x is not None:
             X[i], losses[i] = x, loss
     return OracleResult(X, losses, relaxed)

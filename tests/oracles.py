@@ -20,7 +20,8 @@ from poisoncert import (
     membership_mask,
 )
 from poisoncert.data import _is_nonneg_integral
-from poisoncert.maxoracle import _repair_integer, _round_candidates
+from poisoncert.defense import MEMBERSHIP_ATOL
+from poisoncert.maxoracle import _round_candidates
 
 
 def loop_class_stats(ds):
@@ -243,11 +244,48 @@ def member(F, x, y, **kw):
     return bool(membership_mask(F, Dataset(np.asarray(x, dtype=float)[None, :], np.array([y])), **kw)[0])
 
 
+def loop_repair_integer(x, params, y, max_steps=200, cap=None):
+    """The integer oracle's repair walk one row at a time: each step moves the
+    coordinate of largest constraint contribution one unit toward mu_y,
+    skipping moves below 0 or above `cap`. Returns the repaired row, or None.
+    """
+    mu = params.mu(y)
+    v = params.centroid_vec(y)
+    x = x.copy()
+    for _ in range(max_steps):
+        diff = x - mu
+        sphere_slack = np.linalg.norm(diff) - params.r(y) if params.use_sphere else -1.0
+        slab_val = float(diff @ v) if params.use_slab else 0.0
+        slab_slack = abs(slab_val) - params.s(y) if params.use_slab else -1.0
+        if sphere_slack <= MEMBERSHIP_ATOL and slab_slack <= MEMBERSHIP_ATOL:
+            return x
+        if sphere_slack >= slab_slack:
+            contrib = diff**2
+        else:
+            contrib = np.sign(slab_val) * diff * v  # positive entries push the violation
+            contrib = np.where(contrib > 0, contrib, 0.0)
+        order = np.argsort(-contrib)
+        moved = False
+        for j in order:
+            if contrib[j] <= 0 or abs(diff[j]) < 0.5:
+                break
+            step = -np.sign(diff[j])
+            new_val = x[j] + step
+            if new_val < 0 or (cap is not None and new_val > cap[j]):
+                continue
+            x[j] = new_val
+            moved = True
+            break
+        if not moved:
+            return None
+    return None
+
+
 def loop_max_loss_integer(params, model, budget, seed, coord_cap=None):
     """The integer oracle one candidate at a time: a one-row membership check
-    per rounding, repair on rejection, strict `>` so the first best candidate
-    wins. Shares the relaxation, the random roundings and the repair walk with
-    the vectorized oracle; checks its batching.
+    per rounding, `loop_repair_integer` on rejection, strict `>` so the first
+    best candidate wins. Shares the relaxation and the random roundings with
+    the vectorized oracle; checks its batching and its repair walk.
 
     Returns (x or None, loss, label, number of successful repairs).
     """
@@ -268,7 +306,7 @@ def loop_max_loss_integer(params, model, budget, seed, coord_cap=None):
             if cap is not None:
                 cand = np.minimum(cand, cap)
             if not member(wrapped, cand, y):
-                cand = _repair_integer(cand, params, y)
+                cand = loop_repair_integer(cand, params, y, cap=cap)
                 if cand is None or not member(wrapped, cand, y):
                     continue
                 repairs += 1

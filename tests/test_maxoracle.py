@@ -9,9 +9,16 @@ from poisoncert import (
     max_loss_continuous,
     max_loss_integer,
 )
-from poisoncert.maxoracle import LABELS
+from poisoncert.maxoracle import LABELS, _repair_integer
 
-from oracles import enumerate_integer_max, grid_max_hinge_fixed, loop_max_loss_integer, member, random_feasible_points
+from oracles import (
+    enumerate_integer_max,
+    grid_max_hinge_fixed,
+    loop_max_loss_integer,
+    loop_repair_integer,
+    member,
+    random_feasible_points,
+)
 
 
 def winner(res):
@@ -316,3 +323,108 @@ class TestInteger:
                 assert np.array_equal(got_x, x)
                 assert got_loss == loss
         assert repairs > 0 and capped > 0 and empty > 0
+
+    def test_repairs_stay_under_coord_cap(self):
+        # Both centroids lie beyond the cap, and no point of [0, 3]^2 is
+        # within 1 of either, so no rounding may be walked toward them.
+        params = SphereSlabParams(np.array([5.0, 5.0]), np.array([5.0, 1.0]), 1.0, 1.0, 10.0, 10.0)
+        model = LinearModel(np.array([1.0, -1.0]), 2.0)
+        res = max_loss_integer(params, model, budget=50, seed=0, coord_cap=np.full(2, 3.0))
+        assert res.no_candidate
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(coord_cap=np.full(3, 3.0)), "coord_cap"),
+            (dict(coord_cap=np.array([np.nan, 3.0])), "coord_cap"),
+            (dict(coord_cap=np.array([-1.0, 3.0])), "coord_cap"),
+            (dict(budget=1.5), "budget"),
+            (dict(budget=0), "budget"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs, name):
+        args = dict(budget=10, seed=0) | kwargs
+        with pytest.raises(ValueError, match=name):
+            max_loss_integer(params_2d(), LinearModel(np.array([1.0, 0.0]), 2.0), **args)
+
+
+class TestRepairWalk:
+    """The batched walk against the one-row walk `loop_repair_integer`."""
+
+    @staticmethod
+    def check_rows(X, params, cap, max_steps):
+        outcomes = []
+        for y in (1, -1):
+            R, ok = _repair_integer(X, params, y, cap, max_steps)
+            assert R.shape == X.shape and ok.shape == (X.shape[0],)
+            for x, r, good in zip(X, R, ok):
+                ref = loop_repair_integer(x, params, y, max_steps, cap)
+                assert good == (ref is not None)
+                if good:
+                    assert np.array_equal(r, ref)
+                outcomes.append(good)
+        return outcomes
+
+    @pytest.mark.parametrize("use_sphere, use_slab", [(True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("case", ["plain", "negative_centroid", "cap_below_centroid"])
+    def test_matches_row_walk(self, use_sphere, use_slab, case):
+        rng = np.random.default_rng([use_sphere, use_slab, len(case)])
+        outcomes = []
+        for max_steps in (1, 4, 200):
+            for _ in range(6):
+                d = int(rng.integers(1, 7))
+                low = -1.5 if case == "negative_centroid" else 0.3
+                mu_p, mu_m = rng.uniform(low, 4.0, d), rng.uniform(low, 4.0, d)
+                params = SphereSlabParams(
+                    mu_p, mu_m, *rng.uniform(0.3, 3.0, 2), *rng.uniform(0.1, 4.0, 2),
+                    use_sphere=use_sphere, use_slab=use_slab,
+                )
+                X = rng.integers(0, 8, (40, d)).astype(float)
+                cap = None
+                if case == "cap_below_centroid":
+                    # At least one below both centroids, so walks run into the cap.
+                    cap = np.maximum(np.floor(np.minimum(mu_p, mu_m)) - 1.0, 0.0)
+                    X = np.minimum(X, cap)
+                outcomes += self.check_rows(X, params, cap, max_steps)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_ties_follow_argsort_order(self):
+        # Integral centroids in d = 50 tie many contributions; past 16 entries
+        # np.argsort's default order is not the stable one, and the batched
+        # walk must still move the same coordinate as the one-row walk.
+        rng = np.random.default_rng(71)
+        for use_slab in (False, True):
+            mu_p, mu_m = rng.integers(1, 4, 50).astype(float), rng.integers(1, 4, 50).astype(float)
+            params = SphereSlabParams(mu_p, mu_m, 4.0, 4.0, 6.0, 6.0, use_slab=use_slab)
+            X = rng.integers(0, 7, (40, 50)).astype(float)
+            assert all(self.check_rows(X, params, None, 200))
+
+    @pytest.mark.parametrize(
+        "mu, x, r, cap, walked",
+        [
+            # The move below 0 is passed over; the second coordinate moves.
+            ([-2.0, 0.0], [0.0, 1.0], 2.0, None, [0.0, 0.0]),
+            # The move above the cap is passed over; the second coordinate moves.
+            ([5.0, 2.0], [3.0, 1.0], 2.1, [3.0, 3.0], [3.0, 2.0]),
+            # Every move would go below 0: no coordinate can move.
+            ([-2.0, -2.0], [0.0, 0.0], 2.0, None, None),
+            # Every coordinate lies within 0.5 of the centroid.
+            ([0.3, 0.2], [0.0, 0.0], 0.1, None, None),
+        ],
+    )
+    def test_detours_and_dead_ends(self, mu, x, r, cap, walked):
+        params = SphereSlabParams(np.array(mu), np.zeros(2), r, r, 10.0, 10.0, use_slab=False)
+        X, cap = np.array([x]), None if cap is None else np.array(cap)
+        # One step is too few: a row's last move is not checked.
+        for max_steps in (1, 200):
+            self.check_rows(X, params, cap, max_steps)
+        R, ok = _repair_integer(X, params, 1, cap)
+        assert ok[0] == (walked is not None)
+        if walked is not None:
+            assert np.array_equal(R[0], walked)
+            assert not _repair_integer(X, params, 1, cap, max_steps=1)[1][0]
+
+    def test_empty_input(self):
+        params = SphereSlabParams(np.ones(3), np.zeros(3), 1.0, 1.0, 1.0, 1.0)
+        R, ok = _repair_integer(np.zeros((0, 3)), params, 1)
+        assert R.shape == (0, 3) and ok.shape == (0,)

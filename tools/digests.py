@@ -48,6 +48,17 @@ def _counts():
     return ds, pc.FeasibleSet("oracle", params, integer_features=True)
 
 
+def _counts_d50():
+    """Sparse-text-style counts: d = 50 Poisson words at rate 1.2 on one half
+    of the vocabulary and 1.0 on the other, the halves swapped between classes."""
+    rng = np.random.default_rng(50)
+    rates = np.where(np.arange(50) < 25, 1.2, 1.0)
+    X = np.vstack([rng.poisson(rates, size=(200, 50)), rng.poisson(rates[::-1], size=(200, 50))]).astype(float)
+    ds = pc.Dataset(X, np.array([1] * 200 + [-1] * 200), integer_features=True)
+    params = pc.calibrate_thresholds(ds, pc.class_stats(ds), 0.7)
+    return ds, pc.FeasibleSet("oracle", params, integer_features=True)
+
+
 @contextlib.contextmanager
 def _oracle_fails_on(call):
     """Make the data-dependent oracle raise SdpOracleError on its `call`-th call."""
@@ -86,6 +97,11 @@ def library_runs():
     yield "integer", pc.certify_fixed(ds, F, 0.1, 1.0, seed=3, rounding_budget=200)
     yield "integer_coord_cap", pc.certify_fixed(
         ds, F, 0.1, 1.0, seed=3, rounding_budget=200, coord_cap=np.full(ds.d, 2.0)
+    )
+    # Thousands of repair walks per certificate, capped at the column max.
+    ds, F = _counts_d50()
+    yield "integer_counts_d50", pc.certify_fixed(
+        ds, F, 0.03, 2.0, seed=0, rounding_budget=1000, coord_cap=ds.X.max(axis=0)
     )
     ds, F = _gaussian(2, 40, 3, kind="data-dependent")
     dd = dict(sdp_samples=1, attack_samples=2, eval_steps=2, steps=2, sdp_max_iter=3000)
