@@ -10,7 +10,7 @@ import poisoncert as pc
 
 
 def induced_clean_loss(ds, attack, rho):
-    model = pc.train_erm(pc.concat(ds, attack), rho) if attack.n else pc.train_erm(ds, rho)
+    model = pc.train_erm(pc.concat(ds, attack) if attack.n else ds, rho).model
     return pc.evaluate(model, ds).avg_hinge
 
 
@@ -25,7 +25,7 @@ def main():
     grad = pc.gradient_attack(ds, F, eps, rho, steps=12, step_size=0.2, seed=0)
     cert = pc.certify_fixed(ds, F, eps, rho, seed=0)
 
-    clean = pc.evaluate(pc.train_erm(ds, rho), ds).avg_hinge
+    clean = pc.evaluate(pc.train_erm(ds, rho).model, ds).avg_hinge
     print(f"clean train hinge: {clean:.4f}   (eps={eps}, keep=0.9)")
     print(f"label flip    ({flip.n:3d} pts): {induced_clean_loss(ds, flip, rho):.4f}")
     print(f"gradient      ({grad.dataset.n:3d} pts): "

@@ -31,7 +31,7 @@ def main():
     # The certificate also hands back the attack itself.
     cert = pc.certify_fixed(ds, F, 0.3, rho, seed=0)
     attacked = pc.evaluate(cert.model_tilde, ds)
-    clean_model = pc.train_erm(ds, rho)
+    clean_model = pc.train_erm(ds, rho).model
     clean = pc.evaluate(clean_model, ds)
     print(f"\nclean train hinge {clean.avg_hinge:.4f} -> under the eps=0.3 "
           f"candidate attack {attacked.avg_hinge:.4f}")

@@ -35,7 +35,7 @@ def main():
           f"lower {dd.lower_bound:.4f}  (skipped steps: {dd.n_skipped})")
     print(f"attack masses over (a+, a-, b+, b-): {dd.attack_masses}")
 
-    clean = pc.evaluate(pc.train_erm(ds, rho), ds).avg_hinge
+    clean = pc.evaluate(pc.train_erm(ds, rho).model, ds).avg_hinge
     print(f"\nclean train hinge {clean:.4f}")
     print(f"after the sampled data-dependent attack: "
           f"{pc.evaluate(dd.model_tilde, ds).avg_hinge:.4f}")

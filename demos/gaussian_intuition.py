@@ -33,11 +33,10 @@ def main():
     # versa. Sweep eps and watch the learned first coordinate flip sign.
     spec = pc.GaussianSpec(d=d, lam=2.0, n=500, seed=0)
     clean = pc.generate_gaussian(spec)
-    cfg = pc.TrainConfig(tol=1e-5, max_stages=8, stage_iters=400)
     print("\n eps   theta_1 (trained on clean + attack)")
     for eps in (0.02, 0.05, 0.08, 0.12, 0.2, 0.4):
         attack = pc.gaussian_attack_points(spec, eps)
-        model = pc.train_erm(pc.concat(clean, attack), 2.0, cfg)
+        model = pc.train_erm(pc.concat(clean, attack), 2.0).model
         print(f" {eps:4.2f}  {model.theta[0]:+.4f}")
     print("\nthe sign flips once eps passes a modest threshold; the defense-free")
     print("learner is fully steered by points that no centroid test can flag.")

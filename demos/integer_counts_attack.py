@@ -23,7 +23,7 @@ def main():
     stats = pc.class_stats(ds)
     params = pc.calibrate_thresholds(ds, stats, keep_fraction=0.8)
     F = pc.FeasibleSet("oracle", params, integer_features=True)
-    model = pc.train_erm(ds, 1.0)
+    model = pc.train_erm(ds, 1.0).model
 
     res = pc.max_loss_integer(params, model, budget=1000, seed=7, coord_cap=ds.X.max(axis=0))
     relaxed_loss = res.relaxed.losses.max()

@@ -47,10 +47,9 @@ from .maxoracle import (
     max_loss_integer,
 )
 from .model import (
+    ErmFit,
     LinearModel,
     LossReport,
-    TrainConfig,
-    TrainingWarning,
     evaluate,
     generalization_bound,
     train_erm,

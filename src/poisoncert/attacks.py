@@ -19,16 +19,13 @@ import numpy as np
 
 from .data import Dataset, concat
 from .defense import FeasibleSet, membership_mask
-from .model import TrainConfig, evaluate, train_erm
+from .model import evaluate, train_erm
 
 __all__ = [
     "GradientAttackResult",
     "label_flip_attack",
     "gradient_attack",
 ]
-
-_VICTIM_TRAIN = TrainConfig(tol=1e-6, max_stages=14, stage_iters=800)
-
 
 def label_flip_attack(D_c: Dataset, F: FeasibleSet, eps: float, seed: int) -> Dataset:
     """Sample clean points with replacement, flip labels, keep feasible ones.
@@ -119,10 +116,8 @@ def gradient_attack(
     y_p = init.y.copy()
 
     trace = []
-    warm = None
     for _ in range(steps):
-        model = train_erm(concat(D_c, Dataset(X_p, y_p)), rho, _VICTIM_TRAIN, init=warm)
-        warm = model.theta
+        model = train_erm(concat(D_c, Dataset(X_p, y_p)), rho).model
         trace.append(evaluate(model, D_c).avg_hinge)
         X_p = X_p - step_size * np.outer(y_p.astype(float), model.theta)
         X_p = _project_sphere_slab(X_p, y_p, params)

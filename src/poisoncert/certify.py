@@ -4,7 +4,8 @@ The certificate objective for a model theta is the clean average hinge loss
 plus eps times the worst feasible single-point loss; it upper-bounds the
 minimax training loss for every theta. An adaptive dual-averaging learner
 descends that objective while the per-step loss maximizers accumulate into a
-candidate attack, whose induced training loss is the matching lower bound.
+candidate attack, whose induced training loss is the matching lower bound:
+`train_erm` computes it with a duality gap the certificate reports.
 For fixed defenses the duality gap is bounded by the learner's average
 regret; for data-dependent defenses the same loop runs with the Gram-SDP
 oracle but the regret guarantee no longer applies, so upper and lower bounds
@@ -44,7 +45,7 @@ from . import sdp as sdp_mod
 from .data import Dataset, class_stats, concat
 from .defense import FeasibleSet, SphereSlabParams
 from .maxoracle import LABELS, max_loss_continuous, max_loss_integer
-from .model import LinearModel, TrainConfig, train_erm
+from .model import LinearModel, train_erm
 
 __all__ = [
     "StepRecord",
@@ -58,8 +59,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_FIXED_TRAIN = TrainConfig(tol=1e-9, max_stages=24, stage_iters=1500)
-_DD_TRAIN = TrainConfig(tol=1e-7, max_stages=20, stage_iters=1000)
 _SANDWICH_TOL = 1e-6  # slack on lower <= upper and on gap <= regret / T
 _MAX_SKIP_FRACTION = 0.1
 
@@ -120,7 +119,12 @@ class StepRecord:
 class Certificate:
     """Upper/lower bounds with the candidate attack and instrumentation.
 
-    Step counts and the u and regret traces are read off `steps`.
+    `lower_bound` is model_tilde's hinge sum over clean and attack points
+    (attack points weighted as in retraining) over n_clean. `erm_gap` is the
+    duality gap of the solve behind model_tilde on that scale, so the
+    attack's induced loss min_theta L(theta; D_c + D_p) is certified to lie
+    in [lower_bound - erm_gap, lower_bound]. Step counts and the u and
+    regret traces are read off `steps`.
     """
 
     kind: str
@@ -132,6 +136,7 @@ class Certificate:
     lower_bound: float
     attack: Dataset
     model_tilde: LinearModel
+    erm_gap: float
     steps: list = field(default_factory=list)
     attack_masses: np.ndarray | None = None
     support_violation: float = 0.0
@@ -179,6 +184,7 @@ class Certificate:
             "n_steps": self.n_steps,
             "upper_bound": self.upper_bound,
             "lower_bound": self.lower_bound,
+            "erm_gap": self.erm_gap,
             "duality_gap": self.duality_gap,
             "avg_regret_bound": self.avg_regret_bound,
             "n_skipped": self.n_skipped,
@@ -224,9 +230,9 @@ def _hinge_sum(theta, X, y):
     return float(np.maximum(0.0, 1.0 - y * (X @ theta)).sum())
 
 
-def _degenerate_certificate(kind, D_c, rho, train_config):
-    model = train_erm(D_c, rho, train_config)
-    clean = _hinge_sum(model.theta, D_c.X, D_c.y) / D_c.n
+def _degenerate_certificate(kind, D_c, rho):
+    fit = train_erm(D_c, rho)
+    clean = _hinge_sum(fit.model.theta, D_c.X, D_c.y) / D_c.n
     return Certificate(
         kind=kind,
         eps=0.0,
@@ -236,7 +242,8 @@ def _degenerate_certificate(kind, D_c, rho, train_config):
         upper_bound=clean,
         lower_bound=clean,
         attack=Dataset(np.zeros((0, D_c.d)), np.zeros(0, dtype=int)),
-        model_tilde=model,
+        model_tilde=fit.model,
+        erm_gap=fit.gap,
     )
 
 
@@ -251,18 +258,18 @@ class _OracleStep(NamedTuple):
     result: object
 
 
-def _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, train_config, oracle, assemble):
+def _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, oracle, assemble):
     """Run the learner against `oracle` and build the certificate.
 
     `assemble(live, attack_size, rng)` gets the (theta, step) pairs of the
     steps not skipped, floor(eps * n), and the generator the step seeds came
-    from; it returns the Certificate fields lower_bound, attack and
-    model_tilde, plus any of attack_masses, support_violation and notes.
+    from; it returns the Certificate fields lower_bound, attack, model_tilde
+    and erm_gap, plus any of attack_masses, support_violation and notes.
     """
     if D_c.d != params.d:
         raise ValueError("dimension mismatch between data and defense")
     if eps == 0:
-        return _degenerate_certificate(kind, D_c, rho, train_config)
+        return _degenerate_certificate(kind, D_c, rho)
     if eps < 0:
         raise ValueError("eps must be non-negative")
     n = D_c.n
@@ -394,17 +401,20 @@ def certify_fixed(
         if weighted(attack):
             scale = eps * n / attack.n
             weights = np.concatenate([np.ones(n), np.full(attack.n, scale)])
-        model_tilde = train_erm(concat(D_c, attack) if attack.n else D_c, rho, _FIXED_TRAIN, weights=weights)
-        lower = (
-            _hinge_sum(model_tilde.theta, D_c.X, D_c.y)
-            + scale * _hinge_sum(model_tilde.theta, attack.X, attack.y)
-        ) / n
+        fit = train_erm(concat(D_c, attack) if attack.n else D_c, rho, weights=weights)
+        theta = fit.model.theta
+        lower = (_hinge_sum(theta, D_c.X, D_c.y) + scale * _hinge_sum(theta, attack.X, attack.y)) / n
         misses = len(live) - len(found)
-        notes = [f"{misses} steps produced no feasible integer rounding"] if misses else []
-        return {"lower_bound": lower, "attack": attack, "model_tilde": model_tilde, "notes": notes}
+        return {
+            "lower_bound": lower,
+            "attack": attack,
+            "model_tilde": fit.model,
+            "erm_gap": fit.gap * (n + scale * attack.n) / n,
+            "notes": [f"{misses} steps produced no feasible integer rounding"] if misses else [],
+        }
 
     kind = "integer" if integer_mode else "fixed"
-    cert = _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, _FIXED_TRAIN, oracle, assemble)
+    cert = _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, oracle, assemble)
     if cert.n_steps == 0:
         return cert
     upper, lower = cert.upper_bound, cert.lower_bound
@@ -487,7 +497,7 @@ def certify_data_dependent(
         # Candidate attacks: sample multisets from the strongest distributions.
         strongest = sorted(live, key=lambda pair: -pair[1].value)[:eval_steps]
         n = D_c.n
-        best = warm_theta = None
+        best = None
         worst_support_violation = 0.0
         for theta_t, step in strongest:
             res = step.result
@@ -502,26 +512,22 @@ def certify_data_dependent(
                 rows = np.repeat(res.points, counts, axis=0)
                 labs = np.repeat(res.labels, counts)
                 D_p = Dataset(rows, labs.astype(int))
-                model_tilde = train_erm(concat(D_c, D_p), rho, _DD_TRAIN, init=warm_theta)
-                warm_theta = model_tilde.theta
-                score = (
-                    _hinge_sum(model_tilde.theta, D_c.X, D_c.y)
-                    + _hinge_sum(model_tilde.theta, D_p.X, D_p.y)
-                ) / n
+                fit = train_erm(concat(D_c, D_p), rho)
+                theta = fit.model.theta
+                score = (_hinge_sum(theta, D_c.X, D_c.y) + _hinge_sum(theta, D_p.X, D_p.y)) / n
                 if best is None or score > best[0]:
-                    best = (score, D_p, model_tilde, masses)
+                    best = (score, D_p, fit, masses)
 
         if best is None:
             raise CertificationError("no attack candidate could be evaluated")
-        lower, attack, model_tilde, masses = best
+        lower, attack, fit, masses = best
         return {
             "lower_bound": lower,
             "attack": attack,
-            "model_tilde": model_tilde,
+            "model_tilde": fit.model,
+            "erm_gap": fit.gap * (n + attack.n) / n,
             "attack_masses": masses,
             "support_violation": worst_support_violation,
         }
 
-    return _dual_averaging(
-        "data-dependent", D_c, params, eps, rho, eta, seed, steps, _DD_TRAIN, oracle, assemble
-    )
+    return _dual_averaging("data-dependent", D_c, params, eps, rho, eta, seed, steps, oracle, assemble)

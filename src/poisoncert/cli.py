@@ -330,7 +330,7 @@ def cmd_attack(args):
     else:
         raise ConfigError(f"unknown attack kind {kind!r}")
 
-    model = train_erm(concat(train, attack), rho)
+    model = train_erm(concat(train, attack), rho).model
     report["n_attack"] = attack.n
     report["clean_train_hinge"] = evaluate(model, train).avg_hinge
     report["clean_train_zero_one"] = evaluate(model, train).zero_one

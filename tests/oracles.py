@@ -5,7 +5,6 @@ enumeration) and kept free of the code paths it checks.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +12,6 @@ import pytest
 from poisoncert import (
     Dataset,
     FeasibleSet,
-    LinearModel,
-    TrainConfig,
-    TrainingWarning,
     max_loss_continuous,
     membership_mask,
 )
@@ -49,81 +45,52 @@ def loop_hinge_report(theta, ds):
     return total / ds.n, errs / ds.n
 
 
-def _weighted_objective_grad(theta, X, yv, wn):
-    margins = yv * (X @ theta)
-    obj = float(wn @ np.maximum(0.0, 1.0 - margins))
-    active = margins < 1.0
-    if active.any():
-        grad = -(wn[active] * yv[active]) @ X[active]
-    else:
-        grad = np.zeros(X.shape[1])
-    return obj, grad
-
-
-def loop_train_erm(ds, rho, config=None, *, weights=None, init=None):
-    """`train_erm` as it was before its objective-0 stop: every stage runs
-    all its passes, including those at objective 0 with a zero gradient, and
-    each pass builds the full subgradient. The faster solver must return the
-    same theta bit for bit.
+def erm_primal_dual(ds, rho, weights, theta, alpha):
+    """(primal, dual) of the weighted average hinge ERM over ||theta|| <= rho,
+    by per-row loops: primal is theta's weighted average hinge, dual is
+    sum(alpha) - rho * ||sum_i alpha_i y_i x_i||, a lower bound on the
+    minimum for any 0 <= alpha_i <= w_i / sum(w), which is checked, as is
+    theta's norm.
     """
-    if ds.n == 0:
-        raise ValueError("cannot train on an empty dataset")
-    cfg = config or TrainConfig()
-    X, yv = ds.X, ds.y.astype(float)
-    if weights is None:
-        wn = np.full(ds.n, 1.0 / ds.n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (ds.n,) or (w < 0).any() or w.sum() <= 0:
-            raise ValueError("weights must be non-negative with positive sum")
-        wn = w / w.sum()
+    w = [1.0] * ds.n if weights is None else [float(v) for v in weights]
+    total = math.fsum(w)
+    assert math.sqrt(math.fsum(float(v) ** 2 for v in theta)) <= rho * (1 + 1e-9)
+    primal, alpha_sum, v = 0.0, 0.0, np.zeros(ds.d)
+    for i in range(ds.n):
+        wi = w[i] / total
+        a = float(alpha[i])
+        assert 0.0 <= a <= wi * (1 + 1e-12), (i, a, wi)
+        margin = float(ds.y[i]) * math.fsum(float(x) * float(t) for x, t in zip(ds.X[i], theta))
+        primal += wi * max(0.0, 1.0 - margin)
+        alpha_sum += a
+        v += a * float(ds.y[i]) * ds.X[i]
+    return primal, alpha_sum - rho * math.sqrt(math.fsum(float(c) ** 2 for c in v))
 
-    if rho <= 0:
-        raise ValueError("rho must be positive")
 
-    grad_scale = max(float(wn @ np.linalg.norm(X, axis=1)), 1e-12)
-    gamma0 = rho / grad_scale
+def scipy_erm_dual(ds, rho, weights=None):
+    """The ERM dual max sum(alpha) - rho * ||sum_i alpha_i y_i x_i|| over the
+    box 0 <= alpha <= w / sum(w), solved by scipy's L-BFGS-B: an optimizer
+    independent of the interior-point solver it checks."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    w = np.ones(ds.n) if weights is None else np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    A = ds.y[:, None] * ds.X
 
-    if init is not None:
-        theta = np.array(init, dtype=float)
-        nrm = np.linalg.norm(theta)
-        if nrm > rho:
-            theta *= rho / nrm
-    else:
-        theta = np.zeros(ds.d)
+    def negated(alpha):
+        v = alpha @ A
+        nrm = float(np.linalg.norm(v))
+        grad = -1.0 + (rho / nrm) * (A @ v) if nrm > 0 else -np.ones_like(alpha)
+        return rho * nrm - float(alpha.sum()), grad
 
-    best_obj, _ = _weighted_objective_grad(theta, X, yv, wn)
-    best_theta = theta.copy()
-
-    converged = False
-    for stage in range(cfg.max_stages):
-        gamma = gamma0 * 0.5**stage
-        theta = best_theta.copy()
-        theta_sum = np.zeros(ds.d)
-        stage_start_best = best_obj
-        for t in range(1, cfg.stage_iters + 1):
-            obj, grad = _weighted_objective_grad(theta, X, yv, wn)
-            if obj < best_obj:
-                best_obj, best_theta = obj, theta.copy()
-            theta = theta - (gamma / math.sqrt(t)) * grad
-            nrm = np.linalg.norm(theta)
-            if nrm > rho:
-                theta *= rho / nrm
-            theta_sum += theta
-        avg = theta_sum / cfg.stage_iters
-        avg_obj, _ = _weighted_objective_grad(avg, X, yv, wn)
-        if avg_obj < best_obj:
-            best_obj, best_theta = avg_obj, avg
-        if stage_start_best - best_obj < cfg.tol:
-            converged = True
-            break
-
-    if not converged:
-        warnings.warn(
-            f"train_erm hit the stage budget (best objective {best_obj:.6g} still improving)",
-            TrainingWarning,
-        )
-    return LinearModel(best_theta, rho)
+    res = scipy_opt.minimize(
+        negated,
+        w / 2,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=list(zip(np.zeros(ds.n), w)),
+        options={"maxiter": 100_000, "maxfun": 100_000, "ftol": 1e-16, "gtol": 1e-13},
+    )
+    return -float(res.fun)
 
 
 def feasible_mask_points(params, X, label, atol=1e-9):

@@ -134,7 +134,7 @@ def test_criterion_4_sdp_desk_scale():
         ds = pc.generate_gaussian(pc.GaussianSpec(d=2, lam=2.0, n=300, seed=seed))
         stats = pc.class_stats(ds)
         params = pc.calibrate_thresholds(ds, stats, keep)
-        model = pc.train_erm(ds, 1.0)
+        model = pc.train_erm(ds, 1.0).model
         w = np.array([eps / 2, eps / 2, 0.0, 0.0])
         prog = build_gram_program(stats, model, params, w)
         sol = solve_sdp(prog, tol=1e-10, max_iter=600_000)
@@ -171,20 +171,13 @@ def test_criterion_5_gaussian_intuition():
     ok_err = err <= 0.025
 
     # (b) the mean-shift attack flips the learned first coordinate once eps
-    # is large enough; the threshold is located by bisection. Sign detection
-    # needs only a light training budget, so budget warnings are expected.
-    import warnings
-
+    # is large enough; the threshold is located by bisection.
     spec = pc.GaussianSpec(d=400, lam=2.0, n=500, seed=0)
     clean = pc.generate_gaussian(spec)
-    cfg = pc.TrainConfig(tol=1e-5, max_stages=8, stage_iters=400)
 
     def first_coord(eps):
         attack = pc.gaussian_attack_points(spec, eps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", pc.TrainingWarning)
-            model = pc.train_erm(pc.concat(clean, attack), 2.0, cfg)
-        return float(model.theta[0])
+        return float(pc.train_erm(pc.concat(clean, attack), 2.0).model.theta[0])
 
     lo, hi = 0.01, 0.6
     ok_ends = first_coord(lo) > 0 and first_coord(hi) < 0
@@ -234,12 +227,11 @@ def test_criterion_7_generalization_bound():
     # most a delta fraction of 100 seeded trials.
     delta = 0.1
     violations = 0
-    cfg = pc.TrainConfig(tol=1e-6, max_stages=10, stage_iters=400)
     for seed in range(100):
         full = pc.generate_gaussian(pc.GaussianSpec(d=2, lam=1.0, n=260, seed=1000 + seed))
         train, test = pc.split_train_test(full, 0.23)
         rho = 0.5
-        model = pc.train_erm(train, rho, cfg)
+        model = pc.train_erm(train, rho).model
         R = max(pc.class_stats(train).radius_bound, pc.class_stats(test).radius_bound)
         gap = abs(pc.evaluate(model, train).avg_hinge - pc.evaluate(model, test).avg_hinge)
         if gap > pc.generalization_bound(train.n, rho, delta, R):

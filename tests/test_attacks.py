@@ -107,7 +107,7 @@ class TestGradientAttack:
         eps, rho = 0.15, 2.0
         cert = certify_fixed(ds, F, eps=eps, rho=rho, seed=0)
         res = gradient_attack(ds, F, eps=eps, rho=rho, steps=12, step_size=0.2, seed=0)
-        tilde_grad = train_erm(concat(ds, res.dataset), rho)
+        tilde_grad = train_erm(concat(ds, res.dataset), rho).model
         grad_induced = (
             evaluate(tilde_grad, ds).avg_hinge * ds.n
             + evaluate(tilde_grad, res.dataset).avg_hinge * res.dataset.n

@@ -14,6 +14,7 @@ from poisoncert import (
     certify_data_dependent,
     certify_fixed,
     class_stats,
+    concat,
     evaluate,
     generate_gaussian,
     membership_mask,
@@ -22,7 +23,7 @@ from poisoncert import (
     train_erm,
 )
 
-from oracles import grid_min_averaged_objective
+from oracles import grid_min_averaged_objective, scipy_erm_dual
 
 
 def gaussian_fixture(n=600, seed=1, keep=0.7, d=2, kind="oracle"):
@@ -139,6 +140,12 @@ class TestCertifyFixed:
         assert cert.n_steps == 45
         assert cert.attack.n == 45
         assert cert.lower_bound <= cert.upper_bound + 1e-6
+        # The weighted retraining is exact too: against an independent solve
+        # of its dual, on lower_bound's scale (total weight over n).
+        weights = np.concatenate([np.ones(ds.n), np.full(45, 0.1 * ds.n / 45)])
+        exact = scipy_erm_dual(concat(ds, cert.attack), 1.5, weights) * weights.sum() / ds.n
+        assert abs(cert.lower_bound - exact) <= 1e-7
+        assert 0.0 <= cert.erm_gap <= 1e-6 and cert.lower_bound - cert.erm_gap <= exact + 1e-9
 
 
 class TestCertifyInteger:
@@ -183,7 +190,7 @@ class TestCertifyDataDependent:
         assert cert.upper_bound >= cert.lower_bound
         assert cert.n_skipped <= 1
         # The sampled attack hurts at least as much as no attack.
-        clean = train_erm(ds, 2.0)
+        clean = train_erm(ds, 2.0).model
         assert cert.lower_bound >= evaluate(clean, ds).avg_hinge - 1e-6
         # Attack points pass the constraints under the poisoned centroids of
         # their own distribution (tolerance covers the truncation of any
@@ -286,6 +293,7 @@ def test_certificate_json_round_trip_fields():
     assert set(doc) >= {
         "upper_bound",
         "lower_bound",
+        "erm_gap",
         "duality_gap",
         "attack",
         "model_tilde",
@@ -294,5 +302,6 @@ def test_certificate_json_round_trip_fields():
         "steps",
     }
     assert len(doc["steps"]) == cert.n_steps
+    assert 0.0 <= doc["erm_gap"] <= 1e-6
     first = doc["steps"][0]
     assert set(first) >= {"t", "u_pre", "u_post", "lambda", "grad_norm", "oracle_loss"}

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,20 +7,22 @@ from hypothesis import strategies as st
 
 from poisoncert import (
     Dataset,
+    FeasibleSet,
     GaussianSpec,
     LinearModel,
-    TrainConfig,
-    TrainingWarning,
+    calibrate_thresholds,
+    certify_fixed,
     class_stats,
+    concat,
     evaluate,
     generate_gaussian,
     generalization_bound,
     split_train_test,
     train_erm,
 )
-from poisoncert.certify import _DD_TRAIN, _FIXED_TRAIN, _clean_loss_and_grad
+from poisoncert.certify import _clean_loss_and_grad
 
-from oracles import loop_hinge_report, loop_train_erm
+from oracles import erm_primal_dual, loop_hinge_report, scipy_erm_dual
 
 
 def model(theta, rho=10.0):
@@ -118,30 +119,44 @@ class TestEvaluate:
             evaluate(model([1.0]), Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int)))
 
 
+# (d, n, eps, seed) of fixed-defense runs whose exact lower bounds are pinned.
+EXACT_CONFIGS = ((50, 2000, 0.1, 0), (50, 2000, 0.1, 1), (20, 1000, 0.2, 0))
+
+
 class TestTrainErm:
+    @staticmethod
+    def fit(ds, rho, weights=None):
+        """train_erm, with its gap recomputed by per-row loops from the
+        returned theta and alpha: certified within 1e-8, as reported."""
+        fit = train_erm(ds, rho, weights=weights)
+        primal, dual = erm_primal_dual(ds, rho, weights, fit.model.theta, fit.alpha)
+        assert primal - dual <= 1e-8
+        assert abs((primal - dual) - fit.gap) <= 1e-12
+        return fit.model
+
     def test_two_point_problem(self):
         ds = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, -1]))
-        m = train_erm(ds, 1.0, TrainConfig(tol=1e-9))
+        m = self.fit(ds, 1.0)
         assert evaluate(m, ds).avg_hinge <= 0.01
         assert m.theta[0] > 0.9
 
     def test_duplication_invariance(self):
         ds = generate_gaussian(GaussianSpec(d=2, lam=1.5, n=30, seed=8))
-        base = train_erm(ds, 1.5)
+        base = self.fit(ds, 1.5)
         doubled = Dataset(np.vstack([ds.X, ds.X]), np.concatenate([ds.y, ds.y]))
-        again = train_erm(doubled, 1.5)
+        again = self.fit(doubled, 1.5)
         assert np.allclose(base.theta, again.theta, atol=1e-9)
 
     def test_tiny_rho_degenerates(self):
         ds = generate_gaussian(GaussianSpec(d=2, lam=2.0, n=100, seed=0))
-        m = train_erm(ds, 1e-9)
+        m = self.fit(ds, 1e-9)
         assert np.linalg.norm(m.theta) <= 1e-9 * (1 + 1e-9)
         assert abs(evaluate(m, ds).avg_hinge - 1.0) < 1e-6
 
     def test_norm_constraint_respected(self):
         for seed in range(4):
             ds = generate_gaussian(GaussianSpec(d=3, lam=1.0, n=60, seed=seed))
-            m = train_erm(ds, 0.7)
+            m = self.fit(ds, 0.7)
             assert np.linalg.norm(m.theta) <= 0.7 * (1 + 1e-9)
 
     def test_weights_match_duplication(self):
@@ -151,54 +166,39 @@ class TestTrainErm:
         duplicated = ds.subset(dup_idx)
         w = np.ones(40)
         w[:10] = 2.0
-        a = train_erm(duplicated, 1.0, TrainConfig(tol=1e-10))
-        b = train_erm(ds, 1.0, TrainConfig(tol=1e-10), weights=w)
+        a = self.fit(duplicated, 1.0)
+        b = self.fit(ds, 1.0, weights=w)
         assert abs(evaluate(a, ds).avg_hinge - evaluate(b, ds).avg_hinge) < 1e-4
 
-    def test_warns_when_budget_exhausted(self):
-        ds = generate_gaussian(GaussianSpec(d=2, lam=1.0, n=50, seed=1))
-        with pytest.warns(Warning):
-            train_erm(ds, 2.0, TrainConfig(max_stages=1, stage_iters=5, tol=1e-15))
-
-    @staticmethod
-    def _reference_cases():
-        """(name, ds, rho, config, kwargs) for the bit-identity check."""
-        mixed = generate_gaussian(GaussianSpec(d=2, lam=1.0, n=60, seed=1))
-        separable = generate_gaussian(GaussianSpec(d=100, lam=3.0, n=80, seed=0))
-        small = TrainConfig(stage_iters=300, max_stages=8, tol=1e-7)
-        zero_w = np.ones(mixed.n)
-        zero_w[::3] = 0.0
-        at_zero = train_erm(separable, 2.0, small).theta
-        yield "non_separable", mixed, 2.0, small, {}
-        yield "separable", separable, 2.0, small, {}
-        yield "zero_weights", mixed, 1.5, small, {"weights": zero_w}
-        yield "init_outside_ball", mixed, 0.5, small, {"init": [3.0, -4.0]}
-        yield "init_at_zero_loss", separable, 2.0, small, {"init": at_zero}
-        yield "tiny_rho", mixed, 1e-9, small, {}
-        yield "fixed_train", mixed, 1.5, _FIXED_TRAIN, {}
-        yield "dd_train", separable, 2.0, _DD_TRAIN, {"init": 0.1 * at_zero}
-
-    def test_matches_reference(self):
-        for name, ds, rho, cfg, kw in self._reference_cases():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TrainingWarning)
-                got = train_erm(ds, rho, cfg, **kw).theta
-                want = loop_train_erm(ds, rho, cfg, **kw).theta
-            assert np.array_equal(got, want), name
+    def test_zero_weight_rows_ignored(self):
+        ds = generate_gaussian(GaussianSpec(d=2, lam=1.0, n=60, seed=1))
+        w = np.ones(ds.n)
+        w[::3] = 0.0
+        kept = self.fit(ds.subset(np.flatnonzero(w)), 1.5)
+        assert np.allclose(self.fit(ds, 1.5, weights=w).theta, kept.theta, atol=1e-12)
 
     def test_stops_at_zero_loss(self):
         ds = generate_gaussian(GaussianSpec(d=100, lam=3.0, n=80, seed=0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TrainingWarning)
-            m = train_erm(ds, 2.0, TrainConfig(max_stages=1, stage_iters=1000, tol=1e-9))
+        m = self.fit(ds, 2.0)
         assert (ds.y * (ds.X @ m.theta) >= 1.0).all()
+        fit = train_erm(ds, 2.0)
+        assert fit.gap == 0.0 and not fit.alpha.any()
+
+    def test_matches_scipy_dual(self):
+        # The exact attacked-training minimum behind certify_fixed's lower
+        # bound, against an independent L-BFGS-B solve of the ERM dual.
+        for d, n, eps, seed in EXACT_CONFIGS:
+            ds = generate_gaussian(GaussianSpec(d=d, lam=2.0, n=n, seed=seed))
+            F = FeasibleSet("oracle", calibrate_thresholds(ds, class_stats(ds), 0.7))
+            cert = certify_fixed(ds, F, eps, 2.0, seed=seed)
+            attacked = concat(ds, cert.attack)
+            exact = scipy_erm_dual(attacked, 2.0) * attacked.n / n
+            assert abs(cert.lower_bound - exact) <= 1e-7, (d, seed)
+            assert 0.0 <= cert.erm_gap <= 1e-6
+            assert cert.lower_bound - cert.erm_gap <= exact + 1e-9
 
     def test_non_finite_inputs_rejected(self):
         ds = generate_gaussian(GaussianSpec(d=2, lam=1.0, n=20, seed=0))
-        with pytest.raises(ValueError, match="finite"):
-            train_erm(ds, 1.0, init=[np.nan, 0.0])
-        with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
-            train_erm(ds, 1.0, init=[0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             train_erm(ds, 1.0, weights=np.full(ds.n, np.inf))
         for rho in (np.nan, np.inf):
@@ -242,12 +242,11 @@ class TestGeneralizationBound:
         # at most a delta fraction (statistical, so allow the exact count).
         delta = 0.1
         trials, violations = 60, 0
-        cfg = TrainConfig(tol=1e-6, max_stages=10, stage_iters=400)
         for seed in range(trials):
             full = generate_gaussian(GaussianSpec(d=2, lam=1.0, n=260, seed=seed))
             train, test = split_train_test(full, 0.23)
             rho = 0.5
-            m = train_erm(train, rho, cfg)
+            m = train_erm(train, rho).model
             R = max(class_stats(train).radius_bound, class_stats(test).radius_bound)
             gap = abs(evaluate(m, train).avg_hinge - evaluate(m, test).avg_hinge)
             if gap > generalization_bound(train.n, rho, delta, R):

@@ -28,7 +28,7 @@ def setup_instance(seed=3, n=400, d=2, keep=0.7, rho=2.0):
     ds = generate_gaussian(GaussianSpec(d=d, lam=2.0, n=n, seed=seed))
     stats = class_stats(ds)
     params = calibrate_thresholds(ds, stats, keep)
-    model = train_erm(ds, rho)
+    model = train_erm(ds, rho).model
     return ds, stats, params, model
 
 

@@ -89,6 +89,10 @@ def library_runs():
     yield "fixed_d2_steps40", pc.certify_fixed(ds, F, 0.1, 1.5, steps=40)
     ds, F = _gaussian(50, 400, 2)
     yield "fixed_d50", pc.certify_fixed(ds, F, 0.05, 2.0)
+    # The exact attacked-training minimum: lower bound 0.048140 (an
+    # independent L-BFGS-B solve of the ERM dual gives the same to 1e-8).
+    ds, F = _gaussian(50, 2000, 0)
+    yield "fixed_d50_exact", pc.certify_fixed(ds, F, 0.1, 2.0, seed=0)
     # 40 points in d = 20: the attacked data stay separable, so retraining
     # reaches objective 0 (lower bound 0.0).
     ds, F = _gaussian(20, 40, 0)
