@@ -36,7 +36,6 @@ from .defense import (
     FeasibleSet,
     SphereSlabParams,
     calibrate_thresholds,
-    filter_feasible,
     membership_mask,
     recompute_data_dependent,
 )

@@ -98,8 +98,11 @@ def gradient_attack(
 
     Initialized from the label-flip attack (class centroids when that is
     empty). Records the clean-data hinge loss of the retrained model per
-    iteration. steps=0 returns the initialization untouched.
+    iteration. steps=0 returns the initialization untouched. Its moves leave
+    the integer lattice, so a defense with `integer_features` is rejected.
     """
+    if F.integer_features:
+        raise ValueError("gradient_attack moves points off the integer lattice; the defense has integer_features set")
     m = math.floor(eps * D_c.n)
     if m < 1:
         raise ValueError("eps * n must be at least 1")

@@ -170,10 +170,10 @@ def _dataset_for(cfg, seed):
     if ds_cfg["kind"] == "gaussian":
         # The config seed is a base; each run seed draws its own dataset.
         spec = GaussianSpec(
-            d=ds_cfg["d"], lam=ds_cfg["lam"], n=ds_cfg["n"], seed=ds_cfg.get("seed", 0) + seed
+            d=ds_cfg["d"], lam=ds_cfg["lam"], n=ds_cfg["n"], seed=ds_cfg["seed"] + seed
         )
         full = generate_gaussian(spec)
-        return split_train_test(full, ds_cfg.get("test_fraction", 0.2))
+        return split_train_test(full, ds_cfg["test_fraction"])
     if ds_cfg["kind"] == "file":
         train = load_dataset(ds_cfg["train"], ds_cfg.get("format", "dense-csv"))
         test = None
@@ -190,13 +190,13 @@ def _defense_for(cfg, train):
         train,
         stats,
         d_cfg["keep_fraction"],
-        use_sphere=d_cfg.get("use_sphere", True),
-        use_slab=d_cfg.get("use_slab", True),
+        use_sphere=d_cfg["use_sphere"],
+        use_slab=d_cfg["use_slab"],
     )
     return FeasibleSet(
         kind=d_cfg["kind"],
         params=params,
-        integer_features=d_cfg.get("integer_features", False),
+        integer_features=d_cfg["integer_features"],
     )
 
 
@@ -332,8 +332,9 @@ def cmd_attack(args):
 
     model = train_erm(concat(train, attack), rho).model
     report["n_attack"] = attack.n
-    report["clean_train_hinge"] = evaluate(model, train).avg_hinge
-    report["clean_train_zero_one"] = evaluate(model, train).zero_one
+    on_train = evaluate(model, train)
+    report["clean_train_hinge"] = on_train.avg_hinge
+    report["clean_train_zero_one"] = on_train.zero_one
     if test is not None and test.n:
         rep = evaluate(model, test)
         report["test_hinge"] = rep.avg_hinge

@@ -3,7 +3,9 @@
 A defense is a feasible set built from per-class sphere radii (distance to
 the class centroid) and slab half-widths (projection onto the line between
 the centroids); `membership_mask` checks every row of a dataset against it
-at once. Oracle defenses keep fixed centroids; the
+at once. Calibration, membership and the integer oracle's repair walk all
+read those two quantities from `_measure`, and membership and the walk read
+the slacks from `_slacks`. Oracle defenses keep fixed centroids; the
 data-dependent variant recomputes centroids from the poisoned mass while
 holding the clean-calibrated thresholds fixed. With `integer_features` set,
 membership additionally requires non-negative integer coordinates
@@ -24,7 +26,6 @@ __all__ = [
     "FeasibleSet",
     "membership_mask",
     "calibrate_thresholds",
-    "filter_feasible",
     "recompute_data_dependent",
 ]
 
@@ -95,16 +96,21 @@ class FeasibleSet:
         return self.kind == "data-dependent"
 
 
-def _constraint_slacks(params: SphereSlabParams, X, label):
-    """Signed slacks (value - threshold) for each enabled constraint; <= 0 is feasible."""
-    diff = X - params.mu(label)
-    slacks = []
-    if params.use_sphere:
-        slacks.append(np.linalg.norm(diff, axis=1) - params.r(label))
-    if params.use_slab:
-        v = params.centroid_vec(label)
-        slacks.append(np.abs(diff @ v) - params.s(label))
-    return slacks
+def _measure(mu, v, X):
+    """Each row's distance to mu and the signed projection of x - mu on v."""
+    diff = X - mu
+    return np.linalg.norm(diff, axis=1), diff @ v
+
+
+def _slacks(params: SphereSlabParams, X, label):
+    """(sphere, slab, proj) per row of X against the class-`label` constraints:
+    each slack is value - threshold, <= 0 feasible and -inf when the
+    constraint is disabled; proj is the signed slab projection."""
+    dist, proj = _measure(params.mu(label), params.centroid_vec(label), X)
+    off = np.full(len(proj), -np.inf)
+    sphere = dist - params.r(label) if params.use_sphere else off
+    slab = np.abs(proj) - params.s(label) if params.use_slab else off
+    return sphere, slab, proj
 
 
 def membership_mask(F: FeasibleSet, ds: Dataset, atol: float = MEMBERSHIP_ATOL) -> np.ndarray:
@@ -123,16 +129,11 @@ def membership_mask(F: FeasibleSet, ds: Dataset, atol: float = MEMBERSHIP_ATOL) 
         mask = ds.y == label
         if not mask.any():
             continue
-        # A single-label batch (the integer oracle's candidates) is used as is.
+        # A single-label batch is used as is.
         X = ds.X if mask.all() else ds.X[mask]
-        for slack in _constraint_slacks(F.params, X, label):
-            ok[mask] &= slack <= atol
+        sphere, slab, _ = _slacks(F.params, X, label)
+        ok[mask] &= (sphere <= atol) & (slab <= atol)
     return ok
-
-
-def filter_feasible(F: FeasibleSet, ds: Dataset) -> Dataset:
-    """The subset of points passing membership, order preserved."""
-    return ds.subset(np.flatnonzero(membership_mask(F, ds)))
 
 
 def calibrate_thresholds(
@@ -156,10 +157,10 @@ def calibrate_thresholds(
         mask = ds.y == label
         if not mask.any():
             raise StatsError(f"class {label} is empty")
-        diff = ds.X[mask] - stats.mu(label)
+        dist, proj = _measure(stats.mu(label), v if label == 1 else -v, ds.X[mask])
         k = math.ceil(keep_fraction * mask.sum())
-        radii[label] = float(np.sort(np.linalg.norm(diff, axis=1))[k - 1])
-        widths[label] = float(np.sort(np.abs(diff @ (v if label == 1 else -v)))[k - 1])
+        radii[label] = float(np.sort(dist)[k - 1])
+        widths[label] = float(np.sort(np.abs(proj))[k - 1])
     return SphereSlabParams(
         mu_plus=stats.mu_plus,
         mu_minus=stats.mu_minus,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _is_nonneg_integral
-from .defense import MEMBERSHIP_ATOL, FeasibleSet, SphereSlabParams, membership_mask
+from .data import _is_nonneg_integral
+from .defense import MEMBERSHIP_ATOL, SphereSlabParams, _slacks
 from .model import LinearModel
 
 __all__ = [
@@ -129,28 +129,25 @@ def _round_candidates(rng, x_star, budget):
     return base + (draws < frac)
 
 
-# Rows of one repair walk. Blocks keep the walk's temporaries small: one
-# walk over all of integer-counts' ~800 rejected rows read 2.6 MB more peak RSS.
+# Rows of one repair walk. The walk takes all ~1,000 roundings of a class;
+# blocks keep its temporaries small: one unblocked walk over ~800 of them
+# read 2.6 MB more peak RSS.
 _REPAIR_CHUNK = 128
-
-
-def _row_dots(A, B):
-    """A[i] @ B[i] per row (A[i] @ B for a 1-D B), each the same BLAS dot as a
-    1-D `a @ b`, so a batch's slacks equal one-row ones bit for bit."""
-    return (A[:, None, :] @ B[..., None]).reshape(len(A))
 
 
 def _repair_integer(X, params, y, cap=None, max_steps=200):
     """Walk every row of X toward mu_y, one unit move per step, until it
     passes the class's sphere and slab; returns the walked rows and a mask of
-    the rows that were repaired.
+    the rows that pass. Rows that already pass do not move.
 
-    Per step, a row still outside moves the coordinate of largest constraint
-    contribution (diff**2 when the sphere slack is the larger, else the
-    slab's violating terms; ties in row-wise `np.argsort` order), passing
-    over moves that would leave [0, cap]. A row fails when the next
-    coordinate in that order contributes nothing or lies within 0.5 of mu_y,
-    when no coordinate can move, or after `max_steps` moves.
+    Each step measures the rows with the defense's own `_slacks`, so the
+    walk's sphere/slab verdict is `membership_mask`'s. A row still
+    outside moves the coordinate of largest constraint contribution (diff**2
+    when the sphere slack is the larger, else the slab's violating terms;
+    ties in row-wise `np.argsort` order), passing over moves that would leave
+    [0, cap] (cap None: no upper bound). A row fails when the next coordinate
+    in that order contributes nothing or lies within 0.5 of mu_y, when no
+    coordinate can move, or after `max_steps` moves.
     """
     mu, v = params.mu(y), params.centroid_vec(y)
     hi = np.full(params.d, np.inf) if cap is None else cap
@@ -160,16 +157,13 @@ def _repair_integer(X, params, y, cap=None, max_steps=200):
         rows = np.arange(start, min(start + _REPAIR_CHUNK, out.shape[0]))
         x = out[rows]
         for _ in range(max_steps):
-            D = x - mu
-            off = np.full(len(rows), -1.0)  # the slack of a disabled constraint
-            sphere = np.sqrt(_row_dots(D, D)) - params.r(y) if params.use_sphere else off
-            slab_val = _row_dots(D, v) if params.use_slab else np.zeros(len(rows))
-            slab = np.abs(slab_val) - params.s(y) if params.use_slab else off
+            sphere, slab, proj = _slacks(params, x, y)
             fit = (sphere <= MEMBERSHIP_ATOL) & (slab <= MEMBERSHIP_ATOL)
             out[rows[fit]] = x[fit]
             ok[rows[fit]] = True
+            D = x - mu
             # Positive slab terms push the violation.
-            push = np.sign(slab_val)[:, None] * D * v
+            push = np.sign(proj)[:, None] * D * v
             C = np.where((sphere >= slab)[:, None], D**2, np.where(push > 0, push, 0.0))
             order = np.argsort(-C, axis=1)
             i, j = np.arange(len(rows)), order[:, 0]
@@ -193,25 +187,6 @@ def _repair_integer(X, params, y, cap=None, max_steps=200):
     return out, ok
 
 
-def _best_rounding(wrapped, theta, cands, y, cap):
-    """First candidate of highest hinge loss that passes the defense, rejected
-    rows replaced by their repair, with its loss; (None, -inf) when none passes."""
-    labels = np.full(cands.shape[0], y)
-    ok = membership_mask(wrapped, Dataset(cands, labels))
-    losses = np.where(ok, np.maximum(0.0, 1.0 - y * (cands @ theta)), -np.inf)
-    rejected = np.flatnonzero(~ok)
-    R, repaired = _repair_integer(cands[rejected], wrapped.params, y, cap)
-    rejected, R = rejected[repaired], R[repaired]
-    if len(R):
-        good = membership_mask(wrapped, Dataset(R, labels[: len(R)]))
-        losses[rejected] = np.where(good, np.maximum(0.0, 1.0 - y * (R @ theta)), -np.inf)
-    j = int(np.argmax(losses))
-    if losses[j] == -np.inf:
-        return None, -np.inf
-    x = R[np.searchsorted(rejected, j)] if not ok[j] else cands[j]
-    return x, max(0.0, 1.0 - y * float(theta @ x))
-
-
 def max_loss_integer(
     params: SphereSlabParams,
     model: LinearModel,
@@ -223,42 +198,41 @@ def max_loss_integer(
     """Integer-valued attack point via relaxation plus randomized rounding.
 
     Over the fixed defense's SphereSlabParams `params`, the continuous
-    optimum (`relaxed`) gives a valid upper bound; integrity and
-    non-negativity are only enforced on the rounded candidates. Per class,
-    `budget` roundings of the continuous optimum are drawn, each coordinate
-    rounded down or up with probability equal to its fractional part, and
-    clipped to [0, coord_cap] (a (d,) array of non-negative caps; None for no
-    cap). The candidates the defense rejects take one batched repair walk of
-    unit moves toward the class centroid that never leaves [0, coord_cap];
-    a walked row is kept only if it then passes the defense. Each class's row
-    is its feasible candidate of highest hinge loss (the first one on ties);
-    no_candidate is True when neither class found one.
+    optimum (`relaxed`) gives a valid upper bound. Per class, it is clipped
+    to [0, floor(coord_cap)] (a (d,) array of non-negative caps; None for no
+    cap; an integer coordinate is <= cap exactly when it is <= floor(cap)),
+    and `budget` roundings of it are drawn, each coordinate rounded down or
+    up with probability equal to its fractional part, so every candidate is
+    a non-negative integer point under the cap. All candidates take one
+    batched repair walk, which leaves the passing ones where they are and
+    moves the others toward the class centroid by unit steps that never
+    leave [0, floor(coord_cap)]; the walk's sphere/slab test is the
+    defense's own. Each class's row is its passing candidate of highest
+    hinge loss (the first one on ties); no_candidate is True when neither
+    class found one.
     """
     if not isinstance(budget, numbers.Integral) or budget < 1:
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
-    cap = None
+    cap = np.full(params.d, np.inf)
     if coord_cap is not None:
         cap = np.asarray(coord_cap, dtype=float)
         if cap.shape != (params.d,):
             raise ValueError(f"coord_cap must have shape ({params.d},), got {cap.shape}")
         if np.isnan(cap).any() or (cap < 0).any():
             raise ValueError("coord_cap must be non-negative and not NaN")
+        cap = np.floor(cap)
     relaxed = max_loss_continuous(params, model)
     rng = np.random.default_rng(seed)
 
-    wrapped = FeasibleSet(kind="oracle", params=params, integer_features=True)
+    theta = model.theta
     X, losses = np.full((2, params.d), np.nan), np.full(2, -np.inf)
     for i, y in enumerate((1, -1)):
-        x_star = np.maximum(relaxed.X[i], 0.0)
-        if cap is not None:
-            x_star = np.minimum(x_star, cap)
+        x_star = np.minimum(np.maximum(relaxed.X[i], 0.0), cap)
         cands = _round_candidates(rng, x_star, budget)
         if _is_nonneg_integral(relaxed.X[i]):
             cands = np.vstack([np.round(x_star), cands])
-        cands = np.maximum(cands, 0.0)
-        if cap is not None:
-            cands = np.minimum(cands, cap)
-        x, loss = _best_rounding(wrapped, model.theta, cands, y, cap)
-        if x is not None:
-            X[i], losses[i] = x, loss
+        W, ok = _repair_integer(cands, params, y, cap)
+        j = int(np.argmax(np.where(ok, np.maximum(0.0, 1.0 - y * (W @ theta)), -np.inf)))
+        if ok[j]:
+            X[i], losses[i] = W[j], max(0.0, 1.0 - y * float(theta @ W[j]))
     return OracleResult(X, losses, relaxed)

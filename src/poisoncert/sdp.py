@@ -56,6 +56,10 @@ _GAP = 1e-7
 _EIG_TOL = 1e-12
 _STEP = 0.95
 
+# recover_vectors: most negative eigenvalue (relative to the matrix's scale)
+# still read as solver noise rather than a matrix that is not a Gram matrix.
+_RECOVER_TOL = 1e-6
+
 
 class RecoveryError(ValueError):
     """The Gram matrix does not factor into vectors within tolerance."""
@@ -435,8 +439,6 @@ def recover_vectors(
     mu_plus: np.ndarray,
     mu_minus: np.ndarray,
     theta: np.ndarray,
-    *,
-    tol: float = 1e-6,
 ) -> np.ndarray:
     """Factor a 7x7 Gram matrix G (an SdpSolution's G_opt) into four attack vectors.
 
@@ -460,7 +462,7 @@ def recover_vectors(
     # which the Schur complement picks up amplified negative directions.
     eig_min = float(np.linalg.eigvalsh(_sym(G)).min())
     scale = max(1.0, float(np.abs(G).max()))
-    if eig_min < -tol * scale:
+    if eig_min < -_RECOVER_TOL * scale:
         raise RecoveryError(f"matrix has eigenvalue {eig_min:.3e} below -tol, not a Gram matrix")
     G = _psd_project(G)
 
@@ -473,7 +475,7 @@ def recover_vectors(
 
     w, Q = np.linalg.eigh(S)
     scale = max(1.0, float(np.abs(w).max()))
-    if w.min() < -tol * scale:
+    if w.min() < -_RECOVER_TOL * scale:
         raise RecoveryError(f"Schur complement has eigenvalue {w.min():.3e} below -tol")
     w = np.maximum(w, 0.0)
     keep = w > 1e-12 * scale
@@ -543,7 +545,6 @@ def max_loss_data_dependent(
     seed: int,
     *,
     extra_weights=(),
-    tol: float = 1e-9,
     max_iter: int = 100,
 ) -> SdpOracleResult:
     """Maximize the expected hinge loss over attack distributions of mass eps.
@@ -569,7 +570,7 @@ def max_loss_data_dependent(
     statuses = []
     for w in weights:
         prog = build_gram_program(stats, model, F, w)
-        sol = solve_sdp(prog, tol=tol, max_iter=max_iter)
+        sol = solve_sdp(prog, max_iter=max_iter)
         statuses.append(sol.status)
         if sol.status == "optimal" and (best is None or sol.objective > best[1].objective):
             best = (w, sol, prog)

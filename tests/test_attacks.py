@@ -100,6 +100,16 @@ class TestGradientAttack:
         b = gradient_attack(ds, F, eps=0.1, rho=1.5, steps=4, step_size=0.2, seed=9)
         assert np.array_equal(a.dataset.X, b.dataset.X)
 
+    def test_rejects_integer_defense(self):
+        # Count data whose roundings all sit on the lattice: the gradient
+        # steps would leave it, and the defense would reject every point.
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.poisson(3.0, size=(60, 6)), rng.poisson(1.0, size=(60, 6))]).astype(float)
+        ds = Dataset(X, np.array([1] * 60 + [-1] * 60), integer_features=True)
+        F = FeasibleSet("oracle", calibrate_thresholds(ds, class_stats(ds), 0.8), integer_features=True)
+        with pytest.raises(ValueError, match="integer_features"):
+            gradient_attack(ds, F, eps=0.1, rho=1.0, steps=4, step_size=0.2, seed=0)
+
     def test_certificate_attack_dominates_gradient_baseline(self):
         # The certificate's candidate attack should hurt at least as much as
         # the alternating heuristic, which tends to stall in local optima.

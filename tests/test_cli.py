@@ -183,6 +183,14 @@ class TestAttackCmd:
         report = json.loads((out / "attack_report.json").read_text())
         assert len(report["clean_loss_trace"]) == 5
 
+    def test_gradient_under_integer_defense_is_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, attack={"kind": "gradient", "steps": 2, "step_size": 0.2})
+        out = tmp_path / "att"
+        assert run(["attack", "--config", cfg, "--integer", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "integer_features" in err["message"]
+        assert not (out / "attack_report.json").exists()
+
     def test_certificate_attack_matches_certify(self, tmp_path):
         cfg = base_config(tmp_path, eps=[0.1], seeds=[2])
         out_c = tmp_path / "cert"

@@ -11,7 +11,6 @@ from poisoncert import (
     StatsError,
     calibrate_thresholds,
     class_stats,
-    filter_feasible,
     generate_gaussian,
     membership_mask,
     recompute_data_dependent,
@@ -76,6 +75,14 @@ class TestMembership:
             b = member(FeasibleSet("oracle", scaled), c * x, 1, atol=0.0)
             assert a == b
 
+    def test_matches_pointwise_loop(self):
+        ds = generate_gaussian(GaussianSpec(d=3, lam=1.0, n=80, seed=9))
+        params = calibrate_thresholds(ds, class_stats(ds), 0.6)
+        F = FeasibleSet("oracle", params)
+        mask = membership_mask(F, ds)
+        assert mask.any() and not mask.all()
+        assert mask.tolist() == [member(F, ds.X[i], ds.y[i]) for i in range(ds.n)]
+
 
 class TestCalibrate:
     def test_keep_everything(self):
@@ -131,29 +138,6 @@ class TestCalibrate:
         ds = generate_gaussian(GaussianSpec(d=2, lam=1.0, n=20, seed=0))
         with pytest.raises(ValueError):
             calibrate_thresholds(ds, class_stats(ds), 0.0)
-
-
-class TestFilter:
-    def test_all_feasible_identity(self):
-        ds = generate_gaussian(GaussianSpec(d=2, lam=1.0, n=50, seed=2))
-        params = calibrate_thresholds(ds, class_stats(ds), 1.0)
-        out = filter_feasible(FeasibleSet("oracle", params), ds)
-        assert np.array_equal(out.X, ds.X)
-
-    def test_all_infeasible_empty(self):
-        ds = Dataset(np.full((4, 2), 5.0), np.array([1, 1, -1, -1]))
-        params = simple_params(r_plus=0.1, r_minus=0.1, s_plus=0.1, s_minus=0.1)
-        out = filter_feasible(FeasibleSet("oracle", params), ds)
-        assert out.n == 0
-
-    def test_matches_pointwise_loop(self):
-        ds = generate_gaussian(GaussianSpec(d=3, lam=1.0, n=80, seed=9))
-        params = calibrate_thresholds(ds, class_stats(ds), 0.6)
-        F = FeasibleSet("oracle", params)
-        out = filter_feasible(F, ds)
-        keep = [i for i in range(ds.n) if member(F, ds.X[i], ds.y[i])]
-        assert np.array_equal(out.X, ds.X[keep])
-        assert np.array_equal(out.y, ds.y[keep])
 
 
 class TestDataDependent:

@@ -332,6 +332,21 @@ class TestInteger:
         res = max_loss_integer(params, model, budget=50, seed=0, coord_cap=np.full(2, 3.0))
         assert res.no_candidate
 
+    def test_fractional_cap_acts_as_its_floor(self):
+        # An integer coordinate is <= 2.5 exactly when it is <= 2, so both
+        # caps bound the same integer set and must give the same answer;
+        # class -1 finds its point only on the lattice.
+        mu = np.full(10, 3.0)
+        params = SphereSlabParams(mu, mu, 4.0, 4.0, 10.0, 10.0)
+        model = LinearModel(np.full(10, 0.1), 1.0)
+        res = {
+            c: max_loss_integer(params, model, budget=100, seed=0, coord_cap=np.full(10, c))
+            for c in (2.0, 2.5)
+        }
+        assert np.array_equal(res[2.5].X, res[2.0].X)
+        assert np.array_equal(res[2.5].losses, res[2.0].losses)
+        assert res[2.5].losses[1] == pytest.approx(3.0)
+
     @pytest.mark.parametrize(
         "kwargs, name",
         [

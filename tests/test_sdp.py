@@ -387,7 +387,7 @@ class TestDataDependentOracle:
         res = max_loss_data_dependent(
             stats, model, params, 0.3, samples=5, seed=1,
             extra_weights=[[0.3, 0, 0, 0], [0.15, 0.15, 0, 0]],
-            tol=1e-9, max_iter=300_000,
+            max_iter=300_000,
         )
         theta_ext = np.zeros(res.points_full.shape[1])
         theta_ext[:2] = model.theta
@@ -399,7 +399,7 @@ class TestDataDependentOracle:
         ds, stats, params, model = setup_instance(seed=3, n=400)
         res = max_loss_data_dependent(
             stats, model, params, 0.3, samples=3, seed=2,
-            extra_weights=[[0.15, 0.15, 0, 0]], tol=1e-9, max_iter=300_000,
+            extra_weights=[[0.15, 0.15, 0, 0]], max_iter=300_000,
         )
         d_ext = res.points_full.shape[1]
         vecs = np.vstack([res.points_full, _pad3(np.stack([stats.mu_plus, stats.mu_minus, model.theta]), d_ext)])
