@@ -4,8 +4,9 @@ The certificate objective for a model theta is the clean average hinge loss
 plus eps times the worst feasible single-point loss; it upper-bounds the
 minimax training loss for every theta. An adaptive dual-averaging learner
 descends that objective while the per-step loss maximizers accumulate into a
-candidate attack, whose induced training loss is the matching lower bound:
-`train_erm` computes it with a duality gap the certificate reports.
+candidate attack, whose induced training loss is the matching lower bound.
+`_score` gives every lower bound: it retrains once on the clean data plus a
+candidate attack (empty at eps = 0) and reports `train_erm`'s duality gap.
 For fixed defenses the duality gap is bounded by the learner's average
 regret; for data-dependent defenses the same loop runs with the Gram-SDP
 oracle but the regret guarantee no longer applies, so upper and lower bounds
@@ -22,7 +23,8 @@ stored as `StepRecord.oracle_loss`; and `result`, what attack assembly
 needs from the answer. The fixed-defense oracles answer per class, and the
 step takes the row of largest loss: its relaxed row as the support, the
 best feasible (integer) row and its label as `result`. The SDP oracle's
-support is its four weighted points and `result` its whole answer. An
+support is its four weighted points and `result` its whole answer, which
+carries the support's own `support_violation`. An
 oracle that raises `SdpOracleError` skips its step; more than a tenth of
 the steps skipped fails the run.
 
@@ -219,32 +221,22 @@ def _clean_loss_and_grad(theta, D_c):
     margins = D_c.y * (D_c.X @ theta)
     loss = float(np.maximum(0.0, 1.0 - margins).mean())
     active = margins < 1.0
-    if active.any():
-        grad = -(D_c.y[active].astype(float) / D_c.n) @ D_c.X[active]
-    else:
-        grad = np.zeros(D_c.d)
-    return loss, grad
+    return loss, -(D_c.y[active].astype(float) / D_c.n) @ D_c.X[active]
 
 
-def _hinge_sum(theta, X, y):
-    return float(np.maximum(0.0, 1.0 - y * (X @ theta)).sum())
-
-
-def _degenerate_certificate(kind, D_c, rho):
-    fit = train_erm(D_c, rho)
-    clean = _hinge_sum(fit.model.theta, D_c.X, D_c.y) / D_c.n
-    return Certificate(
-        kind=kind,
-        eps=0.0,
-        rho=rho,
-        eta=float("nan"),
-        n_clean=D_c.n,
-        upper_bound=clean,
-        lower_bound=clean,
-        attack=Dataset(np.zeros((0, D_c.d)), np.zeros(0, dtype=int)),
-        model_tilde=fit.model,
-        erm_gap=fit.gap,
-    )
+def _score(D_c, attack, rho, mass=1.0):
+    """Retrain on D_c plus `attack`, each attack row weighted `mass` against
+    a clean row's 1; returns the Certificate fields lower_bound (the model's
+    weighted hinge sum over n_clean), model_tilde and erm_gap on that scale."""
+    n = D_c.n
+    fit = train_erm(concat(D_c, attack), rho, weights=np.concatenate([np.ones(n), np.full(attack.n, mass)]))
+    theta = fit.model.theta
+    clean, poison = (float(np.maximum(0.0, 1.0 - ds.y * (ds.X @ theta)).sum()) for ds in (D_c, attack))
+    return {
+        "lower_bound": (clean + mass * poison) / n,
+        "model_tilde": fit.model,
+        "erm_gap": fit.gap * (n + mass * attack.n) / n,
+    }
 
 
 class _OracleStep(NamedTuple):
@@ -261,15 +253,22 @@ class _OracleStep(NamedTuple):
 def _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, oracle, assemble):
     """Run the learner against `oracle` and build the certificate.
 
-    `assemble(live, attack_size, rng)` gets the (theta, step) pairs of the
-    steps not skipped, floor(eps * n), and the generator the step seeds came
-    from; it returns the Certificate fields lower_bound, attack, model_tilde
-    and erm_gap, plus any of attack_masses, support_violation and notes.
+    `assemble(live, attack_size, rng)` gets the `_OracleStep`s of the steps
+    not skipped, floor(eps * n), and the generator the step seeds came from;
+    it returns the Certificate fields lower_bound, attack, model_tilde and
+    erm_gap (`_score`'s three and the attack), plus any of attack_masses,
+    support_violation and notes. At eps = 0 the certificate is the clean
+    data's own score.
     """
     if D_c.d != params.d:
         raise ValueError("dimension mismatch between data and defense")
     if eps == 0:
-        return _degenerate_certificate(kind, D_c, rho)
+        attack = Dataset(np.zeros((0, D_c.d)), np.zeros(0, dtype=int))
+        scored = _score(D_c, attack, rho)
+        return Certificate(
+            kind=kind, eps=0.0, rho=rho, eta=float("nan"), n_clean=D_c.n,
+            upper_bound=scored["lower_bound"], attack=attack, **scored,
+        )
     if eps < 0:
         raise ValueError("eps must be non-negative")
     n = D_c.n
@@ -297,7 +296,7 @@ def _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, oracle, assem
             rows.append((t, float("nan"), lam, 0.0, float("nan"), True))
             continue
         clean_loss, g = _clean_loss_and_grad(theta, D_c)
-        live.append((theta, step))
+        live.append(step)
         for x, y, m in zip(step.points, step.labels, step.masses):
             if m > 0 and 1.0 - y * float(theta @ x) > 0.0:
                 g += m * (-float(y) * x)
@@ -390,26 +389,16 @@ def certify_fixed(
         return _OracleStep(relaxed.X[[i]], LABELS[[i]], np.array([eps]), eps * loss, loss, found)
 
     def assemble(live, _attack_size, _rng):
-        found = [step.result for _, step in live if step.result is not None]
+        found = [step.result for step in live if step.result is not None]
         attack = Dataset(
-            np.array([x for x, _ in found]) if found else np.zeros((0, D_c.d)),
-            np.array([y for _, y in found], dtype=int) if found else np.zeros(0, dtype=int),
+            np.array([x for x, _ in found]).reshape(-1, D_c.d),
+            np.array([y for _, y in found], dtype=int),
             integer_features=integer_mode,
         )
-        n = D_c.n
-        scale, weights = 1.0, None
-        if weighted(attack):
-            scale = eps * n / attack.n
-            weights = np.concatenate([np.ones(n), np.full(attack.n, scale)])
-        fit = train_erm(concat(D_c, attack) if attack.n else D_c, rho, weights=weights)
-        theta = fit.model.theta
-        lower = (_hinge_sum(theta, D_c.X, D_c.y) + scale * _hinge_sum(theta, attack.X, attack.y)) / n
         misses = len(live) - len(found)
         return {
-            "lower_bound": lower,
+            **_score(D_c, attack, rho, eps * D_c.n / attack.n if weighted(attack) else 1.0),
             "attack": attack,
-            "model_tilde": fit.model,
-            "erm_gap": fit.gap * (n + scale * attack.n) / n,
             "notes": [f"{misses} steps produced no feasible integer rounding"] if misses else [],
         }
 
@@ -429,22 +418,6 @@ def certify_fixed(
                 f"duality gap {cert.duality_gap:.9f} exceeds regret bound {gap_bound:.9f}"
             )
     return cert
-
-
-def _support_violation(prog, points, mu_p, mu_m, theta):
-    """Constraint violation of the (truncated) support under its own program."""
-    vecs = np.concatenate([points, np.stack([mu_p, mu_m, theta])])
-    return prog.max_violation(vecs @ vecs.T)
-
-
-def _corner_weights(eps):
-    """Boundary supports (some masses exactly zero), tried alongside the
-    simplex samples: they stay feasible when a class has no reachable
-    on-margin point, and the all-off-margin corner realizes a zero-loss
-    attack against models the defense fully protects. Rows are weights in
-    Gram variable order (a+, a-, b+, b-)."""
-    h = eps / 2
-    return np.array([[eps, 0.0, 0.0, 0.0], [0.0, eps, 0.0, 0.0], [h, h, 0.0, 0.0], [0.0, 0.0, h, h]])
 
 
 def certify_data_dependent(
@@ -472,10 +445,13 @@ def certify_data_dependent(
     distributions each spawn `attack_samples` sampled multisets of
     floor(eps*n) points; the multiset with the largest retrained training
     loss becomes the reported attack. No duality assertion is made: the
-    constraint set is non-convex.
+    constraint set is non-convex. The SDP support has no rounding step, so a
+    defense with `integer_features` is rejected.
     """
     if not F.is_data_dependent:
         raise ValueError("certify_data_dependent requires a data-dependent feasible set")
+    if F.integer_features:
+        raise ValueError("certify_data_dependent has no integer rounding; the defense has integer_features set")
     params = F.params
     stats = class_stats(D_c)
 
@@ -488,46 +464,26 @@ def certify_data_dependent(
             eps,
             sdp_samples,
             step_seed,
-            extra_weights=_corner_weights(eps),
+            extra_weights=sdp_mod._corner_weights(eps),
             max_iter=sdp_max_iter,
         )
         return _OracleStep(res.points, res.labels, res.masses, res.value, res.expected_loss, res)
 
     def assemble(live, attack_size, rng):
         # Candidate attacks: sample multisets from the strongest distributions.
-        strongest = sorted(live, key=lambda pair: -pair[1].value)[:eval_steps]
-        n = D_c.n
+        strongest = [step.result for step in sorted(live, key=lambda step: -step.value)[:eval_steps]]
         best = None
-        worst_support_violation = 0.0
-        for theta_t, step in strongest:
-            res = step.result
-            worst_support_violation = max(
-                worst_support_violation,
-                _support_violation(res.program, res.points, stats.mu_plus, stats.mu_minus, theta_t),
-            )
+        for res in strongest:
             masses = res.masses
             probs = masses / masses.sum() if masses.sum() > 0 else np.full(4, 0.25)
             for _ in range(attack_samples):
                 counts = rng.multinomial(attack_size, probs)
-                rows = np.repeat(res.points, counts, axis=0)
-                labs = np.repeat(res.labels, counts)
-                D_p = Dataset(rows, labs.astype(int))
-                fit = train_erm(concat(D_c, D_p), rho)
-                theta = fit.model.theta
-                score = (_hinge_sum(theta, D_c.X, D_c.y) + _hinge_sum(theta, D_p.X, D_p.y)) / n
-                if best is None or score > best[0]:
-                    best = (score, D_p, fit, masses)
-
+                attack = Dataset(np.repeat(res.points, counts, axis=0), np.repeat(res.labels, counts).astype(int))
+                scored = _score(D_c, attack, rho)
+                if best is None or scored["lower_bound"] > best["lower_bound"]:
+                    best = {**scored, "attack": attack, "attack_masses": masses}
         if best is None:
             raise CertificationError("no attack candidate could be evaluated")
-        lower, attack, fit, masses = best
-        return {
-            "lower_bound": lower,
-            "attack": attack,
-            "model_tilde": fit.model,
-            "erm_gap": fit.gap * (n + attack.n) / n,
-            "attack_masses": masses,
-            "support_violation": worst_support_violation,
-        }
+        return {**best, "support_violation": max(res.support_violation for res in strongest)}
 
     return _dual_averaging("data-dependent", D_c, params, eps, rho, eta, seed, steps, oracle, assemble)

@@ -118,13 +118,29 @@ def _load_config(path):
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    for key, val in user.items():
-        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-            cfg[key].update(val)
-        else:
-            cfg[key] = val
-    return cfg
+    return _merged(copy.deepcopy(DEFAULT_CONFIG), user)
+
+
+def _fits(value, default):
+    """Whether a config value has its default's type: an int may stand for a
+    float and a number for eta's None, but a bool is never a number."""
+    if default is None or isinstance(default, float):
+        return (value is None and default is None) or (isinstance(value, (int, float)) and not isinstance(value, bool))
+    return type(value) is type(default)
+
+
+def _merged(default, value, name="config"):
+    """`value` laid over `default`, each value checked against the default
+    of the same key; keys without a default are taken as given."""
+    if not _fits(value, default):
+        kind = "number" if default is None or isinstance(default, float) else type(default).__name__
+        raise ConfigError(f"{name} = {value!r} does not have its default's type ({kind})")
+    if not isinstance(default, dict):
+        return value
+    merged = dict(default)
+    for key, val in value.items():
+        merged[key] = _merged(default[key], val, f"{name}.{key}") if key in default else val
+    return merged
 
 
 # Flags copied into the config as given: argparse dest -> dotted config path.
@@ -155,10 +171,10 @@ def _apply_overrides(cfg, args):
 
 def _validate(cfg):
     for e in cfg["eps"]:
-        if not 0 <= e <= 1:
-            raise ConfigError(f"eps value {e} outside [0, 1]")
-    if not cfg["seeds"]:
-        raise ConfigError("at least one seed is required")
+        if not _fits(e, 0.0) or not 0 <= e <= 1:
+            raise ConfigError(f"eps value {e!r} is not a number in [0, 1]")
+    if not cfg["seeds"] or not all(_fits(seed, 0) for seed in cfg["seeds"]):
+        raise ConfigError(f"seeds {cfg['seeds']!r} must be a non-empty list of integers")
     if cfg["defense"]["kind"] not in ("oracle", "data-dependent"):
         raise ConfigError(f"unknown defense kind {cfg['defense']['kind']!r}")
     if cfg["rho"] <= 0:

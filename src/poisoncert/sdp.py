@@ -49,6 +49,17 @@ A_PLUS, A_MINUS, B_PLUS, B_MINUS, MU_PLUS, MU_MINUS, THETA = range(7)
 
 _ATTACK_LABELS = (1, -1, 1, -1)
 
+
+def _corner_weights(eps):
+    """Boundary supports (some masses exactly zero), tried alongside the
+    simplex samples: they stay feasible when a class has no reachable
+    on-margin point, and the all-off-margin corner realizes a zero-loss
+    attack against models the defense fully protects. Rows are weights in
+    Gram variable order (a+, a-, b+, b-)."""
+    h = eps / 2
+    return np.array([[eps, 0.0, 0.0, 0.0], [0.0, eps, 0.0, 0.0], [h, h, 0.0, 0.0], [0.0, 0.0, h, h]])
+
+
 # solve_sdp: largest duality gap and primal residual of an "optimal" verdict,
 # rounding allowed in its PSD checks (relative to the matrix's norm), and the
 # fraction of the way to the cone's boundary that a step may go.
@@ -133,15 +144,10 @@ class GramProgram:
         return (self.ineq_mats * G).sum(axis=(1, 2))
 
     def max_violation(self, G):
-        """Largest relative constraint violation at G (cone not included)."""
-        viol = 0.0
-        if len(self.eq_mats):
-            scale = np.maximum(1.0, np.abs(self.eq_rhs))
-            viol = max(viol, float(np.max(np.abs(self.eq_values(G) - self.eq_rhs) / scale)))
-        if len(self.ineq_mats):
-            scale = np.maximum(1.0, np.abs(self.ineq_rhs))
-            viol = max(viol, float(np.max((self.ineq_values(G) - self.ineq_rhs) / scale)))
-        return viol
+        """Largest relative constraint violation at G, or 0 (cone not included)."""
+        eq = np.abs(self.eq_values(G) - self.eq_rhs) / np.maximum(1.0, np.abs(self.eq_rhs))
+        ineq = (self.ineq_values(G) - self.ineq_rhs) / np.maximum(1.0, np.abs(self.ineq_rhs))
+        return max(0.0, float(np.max(eq, initial=0.0)), float(np.max(ineq, initial=0.0)))
 
 
 def build_gram_program(
@@ -508,7 +514,8 @@ class SdpOracleResult:
     `value` is the mass-weighted expected hinge loss of the distribution (the
     SDP objective), i.e. already scaled by the total poisoned fraction eps;
     `expected_loss` divides the masses' total back out for comparison with
-    single-point oracles.
+    single-point oracles. `support_violation` is `program.max_violation` at
+    the Gram matrix of the emitted `points` stacked with (mu_+, mu_-, theta).
     """
 
     points: np.ndarray  # (4, d): attack vectors truncated to the data dimension
@@ -519,6 +526,13 @@ class SdpOracleResult:
     expected_loss: float
     solution: SdpSolution
     program: GramProgram
+    support_violation: float
+
+
+def _support_gram(points, stats, theta):
+    """Gram matrix of the four attack points stacked with (mu_+, mu_-, theta)."""
+    vecs = np.concatenate([points, np.stack([stats.mu_plus, stats.mu_minus, theta])])
+    return vecs @ vecs.T
 
 
 def _zero_model_result(stats, model, F, eps):
@@ -529,11 +543,10 @@ def _zero_model_result(stats, model, F, eps):
     w = np.array([eps / 2, eps / 2, 0.0, 0.0])
     prog = build_gram_program(stats, model, F, w)
     pts = np.stack([stats.mu_plus, stats.mu_minus, stats.mu_plus, stats.mu_minus])
-    vecs = np.concatenate([pts, np.stack([stats.mu_plus, stats.mu_minus, model.theta])])
-    G, y = vecs @ vecs.T, np.zeros(len(prog.rhs))
+    G, y = _support_gram(pts, stats, model.theta), np.zeros(len(prog.rhs))
     value = prog.objective_value(G)
     sol = SdpSolution(G, value, "optimal", _residual_of(prog, G), 0, _dual_bound(prog, y, _face(prog)[0]), y)
-    return SdpOracleResult(pts, pts, np.array(_ATTACK_LABELS), w, value, value / eps, sol, prog)
+    return SdpOracleResult(pts, pts, np.array(_ATTACK_LABELS), w, value, value / eps, sol, prog, prog.max_violation(G))
 
 
 def max_loss_data_dependent(
@@ -597,4 +610,5 @@ def max_loss_data_dependent(
         expected_loss=value / eps,
         solution=sol,
         program=prog,
+        support_violation=prog.max_violation(_support_gram(X_full[:, :d], stats, model.theta)),
     )

@@ -222,6 +222,14 @@ class TestCertifyDataDependent:
         with pytest.raises(ValueError):
             certify_data_dependent(ds, F, eps=0.1, rho=1.0)
 
+    def test_rejects_integer_defense(self):
+        # The SDP support has no rounding step, so its points would leave
+        # the integer lattice the defense enforces.
+        ds, F = gaussian_fixture(n=60, kind="data-dependent")
+        F = FeasibleSet("data-dependent", F.params, integer_features=True)
+        with pytest.raises(ValueError, match="integer_features"):
+            certify_data_dependent(ds, F, eps=0.1, rho=2.0, sdp_samples=1, attack_samples=1, eval_steps=1)
+
     def test_fails_when_too_many_steps_skipped(self, monkeypatch):
         ds, F = gaussian_fixture(n=60, seed=5, kind="data-dependent")
 

@@ -135,6 +135,21 @@ class TestCertify:
         assert cert["kind"] == "data-dependent"
         assert cert["upper_bound"] >= cert["lower_bound"]
 
+    def test_data_dependent_under_integer_defense_is_error(self, tmp_path, capsys):
+        cfg = base_config(
+            tmp_path,
+            dataset={"kind": "gaussian", "d": 2, "n": 60, "seed": 0},
+            sdp_samples=1,
+            attack_samples=1,
+            eval_steps=1,
+        )
+        out = tmp_path / "dd"
+        argv = ["certify", "--config", cfg, "--defense", "data-dep", "--integer", "--eps", "0.1", "--out", str(out)]
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "integer_features" in err["message"]
+        assert not list(out.glob("certificate_*.json"))
+
     def test_file_dataset_read_once_per_run(self, tmp_path, monkeypatch):
         from poisoncert import cli
 
@@ -251,5 +266,28 @@ def test_gen_data_unwritable_path(tmp_path, capsys):
 )
 def test_command_rejects_flags_it_does_not_read(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "user",
+    [
+        {"rho": "2"},
+        {"eps": 0.1},
+        {"eps": ["a"]},
+        {"jobs": "2"},
+        {"dataset": {"n": "10"}},
+        {"defense": {"keep_fraction": "x"}},
+        {"dataset": "x"},
+        [1, 2],
+        {"seeds": [0.5]},
+    ],
+    ids=["rho-str", "eps-scalar", "eps-str", "jobs-str", "n-str", "keep-fraction-str", "dataset-str", "top-list", "seed-float"],
+)
+def test_config_value_of_wrong_type_is_error(user, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(user))
+    assert main(["certify", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
     assert not (tmp_path / "x").exists()

@@ -414,6 +414,18 @@ class TestDataDependentOracle:
         assert res.solution.status == "optimal"
         check_dual(res.program, res.solution)
 
+    @pytest.mark.parametrize("zero_theta", [False, True], ids=["sdp", "theta-zero"])
+    def test_support_violation_is_the_emitted_points(self, zero_theta):
+        # Measured on the truncated points stacked with (mu_+, mu_-, theta),
+        # under the answer's own program.
+        ds, stats, params, model = setup_instance(seed=3, n=200)
+        if zero_theta:
+            model = LinearModel(np.zeros(2), 2.0)
+        res = max_loss_data_dependent(stats, model, params, 0.3, samples=2, seed=1)
+        assert (res.solution.iterations == 0) == zero_theta
+        vecs = np.vstack([res.points, stats.mu_plus, stats.mu_minus, model.theta])
+        assert res.support_violation == res.program.max_violation(vecs @ vecs.T)
+
     def test_monte_carlo_matches_nested_brute_force(self):
         # Nested oracle: a lattice over the weight simplex crossed with a
         # position search. Weights without off-margin mass admit an exact 2-d

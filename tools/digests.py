@@ -142,6 +142,21 @@ def cli_runs(root):
             },
             fh,
         )
+    dd_config = os.path.join(root, "config_dd.json")
+    with open(dd_config, "w", encoding="utf-8") as fh:
+        json.dump(
+            {
+                "dataset": {"kind": "gaussian", "d": 2, "lam": 2.0, "n": 100, "seed": 0, "test_fraction": 0.2},
+                "defense": {"kind": "data-dependent", "keep_fraction": 0.7},
+                "eps": [0.05, 0.1],
+                "seeds": [0],
+                "rho": 2.0,
+                "sdp_samples": 1,
+                "attack_samples": 2,
+                "eval_steps": 2,
+            },
+            fh,
+        )
     commands = {
         "gen-data": ["gen-data", "--d", "3", "--lam", "1.5", "--n", "200", "--data-seed", "4", "--test-fraction", "0.25"],
         "certify": ["certify", "--config", config],
@@ -149,6 +164,7 @@ def cli_runs(root):
         "certify-flags": [
             "certify", "--config", config, "--eps", "0.2", "--seed", "3", "--keep-fraction", "0.9", "--rho", "1.0", "--eta", "0.3",
         ],
+        "certify-data-dependent": ["certify", "--config", dd_config],
         "attack-label-flip": ["attack", "--config", config, "--kind", "label-flip"],
         "attack-gradient": ["attack", "--config", config, "--kind", "gradient"],
         "attack-certificate": ["attack", "--config", config, "--kind", "certificate", "--seed", "2"],
