@@ -1,9 +1,14 @@
 """Command-line interface: gen-data, certify, attack, and bound subcommands.
 
-Configuration comes from a JSON file plus flag overrides (flags win). Every
-command is deterministic given config and seeds; reports embed a hash of the
-resolved configuration and the toolkit version, and files are written
-atomically (temp + rename). Exit codes: 0 success, 1 usage/config error,
+Configuration comes from a JSON file plus flag overrides (flags win): each
+flag's argparse dest is the dotted config path it sets, and `_config` lays
+the file and then the given flags over DEFAULT_CONFIG and validates the
+result. `_prepared(cfg, seed)` is the one place that reads or generates a
+seed's dataset and calibrates its defense; `certify` prepares each seed once
+and runs each distinct (eps, seed) pair once. Every command is deterministic
+given config and seeds; reports embed a hash of the resolved configuration
+and the toolkit version, and files are written atomically (temp + rename).
+Exit codes: 0 success, 1 usage/config error (any ValueError or OSError),
 2 numerical failure, with a machine-parsable error JSON on stderr.
 """
 
@@ -24,8 +29,6 @@ from .attacks import gradient_attack, label_flip_attack
 from .certify import CertificationError, certify_data_dependent, certify_fixed
 from .data import (
     GaussianSpec,
-    ParseError,
-    StatsError,
     class_stats,
     concat,
     generate_gaussian,
@@ -108,19 +111,6 @@ def _config_hash(cfg):
     return hashlib.sha256(json.dumps(_semantic(cfg), sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _load_config(path):
-    if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
-    return _merged(copy.deepcopy(DEFAULT_CONFIG), user)
-
-
 def _fits(value, default):
     """Whether a config value has its default's type: an int may stand for a
     float and a number for eta's None, but a bool is never a number."""
@@ -143,29 +133,24 @@ def _merged(default, value, name="config"):
     return merged
 
 
-# Flags copied into the config as given: argparse dest -> dotted config path.
-_FLAG_PATHS = {
-    "rho": "rho", "eta": "eta", "sdp_samples": "sdp_samples", "out": "out", "jobs": "jobs",
-    "keep_fraction": "defense.keep_fraction", "kind": "attack.kind",
-    "d": "dataset.d", "lam": "dataset.lam", "n": "dataset.n",
-    "data_seed": "dataset.seed", "test_fraction": "dataset.test_fraction",
-}
-
-
-def _apply_overrides(cfg, args):
-    if getattr(args, "eps", None):
-        cfg["eps"] = [float(v) for v in args.eps.split(",")]
-    if getattr(args, "seed", None):
-        cfg["seeds"] = [int(v) for v in args.seed.split(",")]
-    if getattr(args, "defense", None):
-        cfg["defense"]["kind"] = {"oracle": "oracle", "data-dep": "data-dependent"}[args.defense]
-    if getattr(args, "integer", False):
-        cfg["defense"]["integer_features"] = True
-    for dest, path in _FLAG_PATHS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
+def _config(args):
+    """The run's configuration: the config file (if any) over DEFAULT_CONFIG,
+    then every flag given, each at its argparse dest, a dotted config path."""
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                user = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+        cfg = _merged(cfg, user)
+    for path, value in vars(args).items():
+        if path not in ("command", "func", "config"):
             section, _, key = path.rpartition(".")
             (cfg[section] if section else cfg)[key] = value
+    _validate(cfg)
     return cfg
 
 
@@ -179,95 +164,77 @@ def _validate(cfg):
         raise ConfigError(f"unknown defense kind {cfg['defense']['kind']!r}")
     if cfg["rho"] <= 0:
         raise ConfigError("rho must be positive")
-
-
-def _dataset_for(cfg, seed):
     ds_cfg = cfg["dataset"]
+    if ds_cfg["kind"] not in ("gaussian", "file"):
+        raise ConfigError(f"unknown dataset kind {ds_cfg['kind']!r}")
+    if ds_cfg["kind"] == "file" and not isinstance(ds_cfg.get("train"), str):
+        raise ConfigError("a file dataset needs dataset.train, the path of its training file")
+    # open() would take an integer path for a file descriptor.
+    if ds_cfg["kind"] == "file" and not isinstance(ds_cfg.get("test") or "", str):
+        raise ConfigError("dataset.test must be the path of a test file")
+
+
+def _prepared(cfg, seed):
+    """(train, test, F) for one run seed: the dataset read or generated (test
+    is None for a file dataset without one) and the defense calibrated on
+    train."""
+    ds_cfg, d_cfg = cfg["dataset"], cfg["defense"]
     if ds_cfg["kind"] == "gaussian":
         # The config seed is a base; each run seed draws its own dataset.
         spec = GaussianSpec(
             d=ds_cfg["d"], lam=ds_cfg["lam"], n=ds_cfg["n"], seed=ds_cfg["seed"] + seed
         )
-        full = generate_gaussian(spec)
-        return split_train_test(full, ds_cfg["test_fraction"])
-    if ds_cfg["kind"] == "file":
-        train = load_dataset(ds_cfg["train"], ds_cfg.get("format", "dense-csv"))
-        test = None
-        if ds_cfg.get("test"):
-            test = load_dataset(ds_cfg["test"], ds_cfg.get("format", "dense-csv"))
-        return train, test
-    raise ConfigError(f"unknown dataset kind {ds_cfg['kind']!r}")
-
-
-def _defense_for(cfg, train):
-    d_cfg = cfg["defense"]
-    stats = class_stats(train)
+        train, test = split_train_test(generate_gaussian(spec), ds_cfg["test_fraction"])
+    else:
+        fmt = ds_cfg.get("format", "dense-csv")
+        train = load_dataset(ds_cfg["train"], fmt)
+        test = load_dataset(ds_cfg["test"], fmt) if ds_cfg.get("test") else None
     params = calibrate_thresholds(
         train,
-        stats,
+        class_stats(train),
         d_cfg["keep_fraction"],
         use_sphere=d_cfg["use_sphere"],
         use_slab=d_cfg["use_slab"],
     )
-    return FeasibleSet(
+    F = FeasibleSet(
         kind=d_cfg["kind"],
         params=params,
         integer_features=d_cfg["integer_features"],
     )
+    return train, test, F
 
 
-def _run_certify_job(cfg, eps, seed, train, test):
-    F = _defense_for(cfg, train)
-    rho = cfg["rho"]
+def _run_certify_job(cfg, eps, seed, train, F):
     if F.is_data_dependent:
-        cert = certify_data_dependent(
+        return certify_data_dependent(
             train,
             F,
             eps,
-            rho,
+            cfg["rho"],
             cfg["eta"],
             seed,
             sdp_samples=cfg["sdp_samples"],
             attack_samples=cfg["attack_samples"],
             eval_steps=cfg["eval_steps"],
         )
-    else:
-        cert = certify_fixed(
-            train,
-            F,
-            eps,
-            rho,
-            cfg["eta"],
-            seed,
-            rounding_budget=cfg["rounding_budget"],
-            coord_cap=train.X.max(axis=0) if F.integer_features else None,
-        )
-    clean_train = evaluate(cert.model_tilde, train).avg_hinge
-    if test is not None and test.n:
-        rep = evaluate(cert.model_tilde, test)
-        test_hinge, test_zero_one = rep.avg_hinge, rep.zero_one
-    else:
-        test_hinge = test_zero_one = float("nan")
-    row = {
-        "eps": eps,
-        "seed": seed,
-        "upper_bound": cert.upper_bound,
-        "lower_bound": cert.lower_bound,
-        "clean_train_loss": clean_train,
-        "test_hinge": test_hinge,
-        "test_zero_one": test_zero_one,
-        "duality_gap": cert.duality_gap,
-        "regret_bound": cert.avg_regret_bound,
-    }
-    return row, cert
+    return certify_fixed(
+        train,
+        F,
+        eps,
+        cfg["rho"],
+        cfg["eta"],
+        seed,
+        rounding_budget=cfg["rounding_budget"],
+        coord_cap=train.X.max(axis=0) if F.integer_features else None,
+    )
 
 
 def cmd_gen_data(args):
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _config(args)
     if cfg["dataset"]["kind"] != "gaussian":
         raise ConfigError("gen-data only supports the gaussian dataset kind")
     try:
-        train, test = _dataset_for(cfg, 0)
+        train, test, _ = _prepared(cfg, 0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = cfg["out"]
@@ -279,34 +246,39 @@ def cmd_gen_data(args):
 
 
 def cmd_certify(args):
-    cfg = _apply_overrides(_load_config(args.config), args)
-    _validate(cfg)
+    cfg = _config(args)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     chash = _config_hash(cfg)
-    jobs = sorted((float(e), int(s)) for e in cfg["eps"] for s in cfg["seeds"])
-    # Each seed's (train, test) pair is read or generated once for all eps.
-    data = {s: _dataset_for(cfg, s) for s in sorted({s for _, s in jobs})}
-
-    results = {}
+    jobs = sorted({(float(e), int(s)) for e in cfg["eps"] for s in cfg["seeds"]})
+    prepared = {s: _prepared(cfg, s) for s in sorted({s for _, s in jobs})}
+    calls = [(cfg, e, s, prepared[s][0], prepared[s][2]) for e, s in jobs]
     if cfg["jobs"] > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            futures = {pool.submit(_run_certify_job, cfg, e, s, *data[s]): (e, s) for e, s in jobs}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
+            certs = list(pool.map(_run_certify_job, *zip(*calls)))
     else:
-        for e, s in jobs:
-            results[(e, s)] = _run_certify_job(cfg, e, s, *data[s])
+        certs = list(map(_run_certify_job, *zip(*calls)))
 
     lines = [",".join(SWEEP_COLUMNS)]
-    for e, s in jobs:
-        row, cert = results[(e, s)]
+    for (e, s), cert in zip(jobs, certs):
         cert_doc = cert.to_json_dict(config_echo={"config_hash": chash, "version": __version__, "eps": e, "seed": s})
         _atomic_write(
             os.path.join(out, f"certificate_eps{e}_seed{s}.json"),
             json.dumps(cert_doc, sort_keys=True, indent=1) + "\n",
         )
-        lines.append(",".join(_fmt(row[k]) for k in SWEEP_COLUMNS))
+        train, test, _ = prepared[s]
+        held_out = evaluate(cert.model_tilde, test) if test is not None and test.n else None
+        row = (
+            e,
+            cert.upper_bound,
+            cert.lower_bound,
+            evaluate(cert.model_tilde, train).avg_hinge,
+            held_out.avg_hinge if held_out else float("nan"),
+            held_out.zero_one if held_out else float("nan"),
+            cert.duality_gap,
+            cert.avg_regret_bound,
+        )
+        lines.append(",".join(map(_fmt, row)))
     _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
     _atomic_write(
         os.path.join(out, "manifest.json"),
@@ -317,8 +289,7 @@ def cmd_certify(args):
 
 
 def cmd_attack(args):
-    cfg = _apply_overrides(_load_config(args.config), args)
-    _validate(cfg)
+    cfg = _config(args)
     kind = cfg["attack"]["kind"]
     eps = cfg["eps"][0]
     seed = cfg["seeds"][0]
@@ -326,8 +297,7 @@ def cmd_attack(args):
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
 
-    train, test = _dataset_for(cfg, seed)
-    F = _defense_for(cfg, train)
+    train, test, F = _prepared(cfg, seed)
     report = {"kind": kind, "eps": eps, "seed": seed, "config_hash": _config_hash(cfg), "version": __version__}
 
     if kind == "label-flip":
@@ -339,14 +309,15 @@ def cmd_attack(args):
         attack = res.dataset
         report["clean_loss_trace"] = [float(v) for v in res.clean_loss_trace]
     elif kind == "certificate":
-        row, cert = _run_certify_job(cfg, eps, seed, train, test)
-        attack = cert.attack
+        cert = _run_certify_job(cfg, eps, seed, train, F)
+        attack, model = cert.attack, cert.model_tilde
         report["upper_bound"] = cert.upper_bound
         report["lower_bound"] = cert.lower_bound
     else:
         raise ConfigError(f"unknown attack kind {kind!r}")
 
-    model = train_erm(concat(train, attack), rho).model
+    if kind != "certificate":
+        model = train_erm(concat(train, attack), rho).model
     report["n_attack"] = attack.n
     on_train = evaluate(model, train)
     report["clean_train_hinge"] = on_train.avg_hinge
@@ -380,43 +351,60 @@ def cmd_bound(args):
     return 0
 
 
+def _list_of(kind):
+    """An argparse type: a comma-separated list of `kind` values."""
+
+    def parse(text):
+        return [kind(v) for v in text.split(",")]
+
+    parse.__name__ = f"comma-separated {kind.__name__} list"
+    return parse
+
+
+class _DefenseKind(argparse.Action):
+    """Stores `--defense data-dep` as the config's "data-dependent"."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, "data-dependent" if value == "data-dep" else value)
+
+
 def _build_parser():
     parser = _Parser(prog="poisoncert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        # Each flag's dest is the config path it sets. A flag not given
+        # leaves no attribute, so the config file's value stands.
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=None)
+        p.add_argument("--out")
+        p.set_defaults(func=func)
+        return p
 
-    def run_flags(p):
-        common(p)
-        p.add_argument("--eps", default=None, help="comma-separated eps list")
-        p.add_argument("--seed", default=None, help="comma-separated seed list")
-        p.add_argument("--defense", choices=("oracle", "data-dep"), default=None)
-        p.add_argument("--keep-fraction", dest="keep_fraction", type=float, default=None)
-        p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--integer", action="store_true")
-        p.add_argument("--sdp-samples", dest="sdp_samples", type=int, default=None)
+    def run_command(name, func, help):
+        p = command(name, func, help)
+        p.add_argument("--eps", type=_list_of(float), help="comma-separated eps list")
+        p.add_argument("--seed", dest="seeds", type=_list_of(int), help="comma-separated seed list")
+        p.add_argument("--defense", dest="defense.kind", choices=("oracle", "data-dep"), action=_DefenseKind)
+        p.add_argument("--keep-fraction", dest="defense.keep_fraction", type=float)
+        p.add_argument("--rho", type=float)
+        p.add_argument("--eta", type=float)
+        p.add_argument("--integer", dest="defense.integer_features", action="store_const", const=True)
+        p.add_argument("--sdp-samples", dest="sdp_samples", type=int)
+        return p
 
-    p_gen = sub.add_parser("gen-data", help="write synthetic gaussian train/test csv files")
-    common(p_gen)
-    p_gen.add_argument("--d", type=int, default=None)
-    p_gen.add_argument("--lam", type=float, default=None)
-    p_gen.add_argument("--n", type=int, default=None)
-    p_gen.add_argument("--data-seed", dest="data_seed", type=int, default=None)
-    p_gen.add_argument("--test-fraction", dest="test_fraction", type=float, default=None)
-    p_gen.set_defaults(func=cmd_gen_data)
+    p_gen = command("gen-data", cmd_gen_data, "write synthetic gaussian train/test csv files")
+    p_gen.add_argument("--d", dest="dataset.d", type=int)
+    p_gen.add_argument("--lam", dest="dataset.lam", type=float)
+    p_gen.add_argument("--n", dest="dataset.n", type=int)
+    p_gen.add_argument("--data-seed", dest="dataset.seed", type=int)
+    p_gen.add_argument("--test-fraction", dest="dataset.test_fraction", type=float)
 
-    p_cert = sub.add_parser("certify", help="run the certification sweep")
-    run_flags(p_cert)
-    p_cert.add_argument("--jobs", type=int, default=None)
-    p_cert.set_defaults(func=cmd_certify)
+    p_cert = run_command("certify", cmd_certify, "run the certification sweep")
+    p_cert.add_argument("--jobs", type=int)
 
-    p_att = sub.add_parser("attack", help="run a named attack and report losses")
-    run_flags(p_att)
-    p_att.add_argument("--kind", choices=("label-flip", "gradient", "certificate"), default=None)
-    p_att.set_defaults(func=cmd_attack)
+    p_att = run_command("attack", cmd_attack, "run a named attack and report losses")
+    p_att.add_argument("--kind", dest="attack.kind", choices=("label-flip", "gradient", "certificate"))
 
     p_bound = sub.add_parser("bound", help="print the generalization bound")
     p_bound.add_argument("--n", type=int, default=None)
@@ -434,13 +422,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, ParseError, StatsError, OSError) as exc:
-        _emit_error(exc)
-        return 1
     except _NUMERICAL_ERRORS as exc:
         _emit_error(exc)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         _emit_error(exc)
         return 1
 

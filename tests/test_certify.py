@@ -230,6 +230,19 @@ class TestCertifyDataDependent:
         with pytest.raises(ValueError, match="integer_features"):
             certify_data_dependent(ds, F, eps=0.1, rho=2.0, sdp_samples=1, attack_samples=1, eval_steps=1)
 
+    @pytest.mark.parametrize("eval_steps, attack_samples", [(0, 1), (-1, 1), (1, 0), (1, -1)])
+    def test_rejects_fewer_than_one_candidate(self, monkeypatch, eval_steps, attack_samples):
+        # Checked before the first oracle call, not after every SDP step.
+        ds, F = gaussian_fixture(n=60, seed=5, kind="data-dependent")
+        calls = []
+        monkeypatch.setattr(certify_mod.sdp_mod, "max_loss_data_dependent", lambda *a, **k: calls.append(a))
+        name = "eval_steps" if eval_steps < 1 else "attack_samples"
+        with pytest.raises(ValueError, match=name):
+            certify_data_dependent(
+                ds, F, eps=0.25, rho=2.0, sdp_samples=1, eval_steps=eval_steps, attack_samples=attack_samples
+            )
+        assert not calls
+
     def test_fails_when_too_many_steps_skipped(self, monkeypatch):
         ds, F = gaussian_fixture(n=60, seed=5, kind="data-dependent")
 

@@ -168,6 +168,74 @@ class TestCertify:
         assert run(["certify", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
         assert sorted(calls) == sorted(files.values())
 
+    def test_repeated_eps_and_seeds_run_once(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, eps=[0.1, 0.1], seeds=[0, 0])
+        out = tmp_path / "runs"
+        assert run(["certify", "--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "sweep.csv").read_text().strip().splitlines()) == 2
+        assert "wrote 1 certificates" in capsys.readouterr().out
+
+    def test_each_seed_calibrated_once(self, tmp_path, monkeypatch):
+        from poisoncert import cli
+
+        calls = []
+
+        def counting_calibrate(*args, **kwargs):
+            calls.append(None)
+            return calibrate(*args, **kwargs)
+
+        calibrate = cli.calibrate_thresholds
+        monkeypatch.setattr(cli, "calibrate_thresholds", counting_calibrate)
+        cfg = base_config(tmp_path, eps=[0.05, 0.1], seeds=[0, 1])
+        assert run(["certify", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "dataset, key",
+        [({"kind": "file"}, "dataset.train"), ({"kind": "file", "train": "train.csv", "test": 2}, "dataset.test")],
+        ids=["no-train", "test-not-a-path"],
+    )
+    def test_file_dataset_paths_checked(self, tmp_path, capsys, dataset, key):
+        cfg = base_config(tmp_path, dataset=dataset)
+        assert run(["certify", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError" and key in err["message"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key", ["eval_steps", "attack_samples"])
+    def test_no_candidate_attacks_is_error(self, tmp_path, capsys, key):
+        cfg = base_config(
+            tmp_path,
+            dataset={"kind": "gaussian", "n": 80, "seed": 5},
+            defense={"kind": "data-dependent"},
+            eps=[0.25],
+            sdp_samples=1,
+            **{key: 0},
+        )
+        out = tmp_path / "dd"
+        assert run(["certify", "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and key in err["message"]
+        assert not list(out.glob("certificate_*.json"))
+
+    def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        import poisoncert.certify as certify_mod
+        from poisoncert import SdpOracleError
+
+        def always_fail(*args, **kwargs):
+            raise SdpOracleError("forced failure")
+
+        monkeypatch.setattr(certify_mod.sdp_mod, "max_loss_data_dependent", always_fail)
+        cfg = base_config(
+            tmp_path,
+            dataset={"kind": "gaussian", "n": 60, "seed": 5},
+            defense={"kind": "data-dependent"},
+            eps=[0.25],
+            sdp_samples=1,
+        )
+        assert run(["certify", "--config", cfg, "--out", str(tmp_path / "dd")]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "CertificationError"
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = base_config(tmp_path, eps=[0.05, 0.1])
         out_a, out_b = tmp_path / "serial", tmp_path / "parallel"
@@ -215,6 +283,16 @@ class TestAttackCmd:
         report = json.loads((out_a / "attack_report.json").read_text())
         sweep = (out_c / "sweep.csv").read_text().strip().splitlines()[1].split(",")
         assert report["lower_bound"] == pytest.approx(float(sweep[2]))
+
+    def test_certificate_attack_trains_no_second_model(self, tmp_path, monkeypatch):
+        from poisoncert import cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the certificate already holds the attacked model")
+
+        monkeypatch.setattr(cli, "train_erm", no_training)
+        cfg = base_config(tmp_path, eps=[0.1], seeds=[2])
+        assert run(["attack", "--config", cfg, "--kind", "certificate", "--out", str(tmp_path / "att")]) == 0
 
 
 class TestBound:
@@ -266,6 +344,13 @@ def test_gen_data_unwritable_path(tmp_path, capsys):
 )
 def test_command_rejects_flags_it_does_not_read(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "0.1,abc"), ("--seed", "1.5")])
+def test_unparsable_list_flag_is_config_error(flag, value, tmp_path, capsys):
+    assert main(["certify", flag, value, "--out", str(tmp_path / "x")]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
     assert not (tmp_path / "x").exists()
 

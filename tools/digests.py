@@ -5,9 +5,12 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tools/digests.py > digests.txt
 
-and diff the files written on two checkouts. The script calls only
-`certify_fixed`, `certify_data_dependent` and `cli.main` with options both
-sides accept, so the same file runs on either. Two data-dependent runs
+and diff the files written on two checkouts: 57 digests, 19 certificates
+and 38 CLI output files. The script calls only `certify_fixed`,
+`certify_data_dependent` and `cli.main` with options both sides accept, so
+the same file runs on either. The CLI runs work inside a temporary directory
+and name their file datasets by relative paths, so no config hash carries
+that directory's name. Two data-dependent runs
 replace `certify.sdp_mod.max_loss_data_dependent` for their duration with a
 wrapper that fails one chosen call, so the skipped-step records are hashed
 too. BLAS is held to one thread (set before numpy loads), since threaded
@@ -127,36 +130,65 @@ def library_runs():
         yield f"dd_fail_call{call}", cert
 
 
+def _write_config(path, cfg):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+
+
 def cli_runs(root):
-    """Run the CLI commands under `root`; return each command's output directory."""
+    """Run the CLI commands in `root`, the working directory; return each
+    command's output directory."""
     config = os.path.join(root, "config.json")
-    with open(config, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "dataset": {"kind": "gaussian", "d": 2, "lam": 2.0, "n": 300, "seed": 0, "test_fraction": 0.2},
-                "defense": {"kind": "oracle", "keep_fraction": 0.7},
-                "eps": [0.05, 0.1],
-                "seeds": [0, 1],
-                "rho": 1.5,
-                "attack": {"kind": "label-flip", "steps": 4, "step_size": 0.2},
-            },
-            fh,
-        )
+    _write_config(
+        config,
+        {
+            "dataset": {"kind": "gaussian", "d": 2, "lam": 2.0, "n": 300, "seed": 0, "test_fraction": 0.2},
+            "defense": {"kind": "oracle", "keep_fraction": 0.7},
+            "eps": [0.05, 0.1],
+            "seeds": [0, 1],
+            "rho": 1.5,
+            "attack": {"kind": "label-flip", "steps": 4, "step_size": 0.2},
+        },
+    )
     dd_config = os.path.join(root, "config_dd.json")
-    with open(dd_config, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "dataset": {"kind": "gaussian", "d": 2, "lam": 2.0, "n": 100, "seed": 0, "test_fraction": 0.2},
-                "defense": {"kind": "data-dependent", "keep_fraction": 0.7},
-                "eps": [0.05, 0.1],
-                "seeds": [0],
-                "rho": 2.0,
-                "sdp_samples": 1,
-                "attack_samples": 2,
-                "eval_steps": 2,
-            },
-            fh,
-        )
+    _write_config(
+        dd_config,
+        {
+            "dataset": {"kind": "gaussian", "d": 2, "lam": 2.0, "n": 100, "seed": 0, "test_fraction": 0.2},
+            "defense": {"kind": "data-dependent", "keep_fraction": 0.7},
+            "eps": [0.05, 0.1],
+            "seeds": [0],
+            "rho": 2.0,
+            "sdp_samples": 1,
+            "attack_samples": 2,
+            "eval_steps": 2,
+        },
+    )
+    # gen-data's output, read back as a file dataset, and the integer counts
+    # as sparse-text without a test file.
+    file_config = os.path.join(root, "config_file.json")
+    _write_config(
+        file_config,
+        {
+            "dataset": {"kind": "file", "train": "gen-data/train.csv", "test": "gen-data/test.csv"},
+            "eps": [0.05, 0.1],
+            "seeds": [0, 1],
+            "rho": 1.5,
+        },
+    )
+    pc.save_dataset(_counts()[0], os.path.join(root, "counts.txt"), "sparse-text")
+    sparse_config = os.path.join(root, "config_sparse.json")
+    _write_config(
+        sparse_config,
+        {
+            "dataset": {"kind": "file", "train": "counts.txt", "format": "sparse-text"},
+            "defense": {"kind": "oracle", "keep_fraction": 0.8},
+            "eps": [0.1],
+            "seeds": [3],
+            "rho": 1.0,
+            "rounding_budget": 200,
+        },
+    )
     commands = {
         "gen-data": ["gen-data", "--d", "3", "--lam", "1.5", "--n", "200", "--data-seed", "4", "--test-fraction", "0.25"],
         "certify": ["certify", "--config", config],
@@ -168,6 +200,9 @@ def cli_runs(root):
         "attack-label-flip": ["attack", "--config", config, "--kind", "label-flip"],
         "attack-gradient": ["attack", "--config", config, "--kind", "gradient"],
         "attack-certificate": ["attack", "--config", config, "--kind", "certificate", "--seed", "2"],
+        "certify-file": ["certify", "--config", file_config],
+        "certify-sparse-integer": ["certify", "--config", sparse_config, "--integer"],
+        "attack-certificate-sparse": ["attack", "--config", sparse_config, "--kind", "certificate"],
     }
     outs = {}
     for name, argv in commands.items():
@@ -189,8 +224,14 @@ def main():
     for name, cert in library_runs():
         doc = json.dumps(cert.to_json_dict(), sort_keys=True)
         print(f"{_sha(doc.encode())}  lib/{name}")
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as root:
-        for name, out in cli_runs(root).items():
+        os.chdir(root)
+        try:
+            outs = cli_runs(root)
+        finally:
+            os.chdir(cwd)
+        for name, out in outs.items():
             for fname in sorted(os.listdir(out)):
                 with open(os.path.join(out, fname), "rb") as fh:
                     print(f"{_sha(fh.read())}  cli/{name}/{fname}")
