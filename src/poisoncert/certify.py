@@ -452,7 +452,7 @@ def certify_data_dependent(
         raise ValueError("certify_data_dependent requires a data-dependent feasible set")
     if F.integer_features:
         raise ValueError("certify_data_dependent has no integer rounding; the defense has integer_features set")
-    for name, value in (("eval_steps", eval_steps), ("attack_samples", attack_samples)):
+    for name, value in (("eval_steps", eval_steps), ("attack_samples", attack_samples), ("sdp_max_iter", sdp_max_iter)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
     params = F.params

@@ -11,7 +11,10 @@ Attack weights are length-4 arrays of masses in the Gram variable order
 dense primal-dual interior-point method on the face of the PSD cone that the
 known vectors' Gram matrix fixes, checks each verdict with a dual bound or a
 Farkas ray, recovers attack vectors from the optimal Gram matrix, and searches
-the weight simplex by Monte Carlo.
+the weight simplex by Monte Carlo. The draws of one oracle call share that
+face and their equality rows, so they run as one interior-point method on
+stacked iterates; a per-draw done mask ends each draw at its own verdict, and
+iteration counts are per draw.
 """
 
 from __future__ import annotations
@@ -301,11 +304,13 @@ def _face(prog):
     return T, w[w > tol]
 
 
-def _max_step(X, dX, v, dv):
-    """Largest a with X + a dX PSD and v + a dv >= 0 (inf if there is none)."""
-    Li = np.linalg.inv(np.linalg.cholesky(X))
-    lam = min(float(np.linalg.eigvalsh(_sym(Li @ dX @ Li.T))[0]), float(np.min(dv / v, initial=0.0)))
-    return math.inf if lam >= 0 else -1.0 / lam
+def _max_step(Li, dX, v, dv):
+    """Per program of a stack, the largest a with X + a dX PSD and
+    v + a dv >= 0 (inf if there is none), shaped (K, 1, 1); Li is the
+    inverse of X's Cholesky factor."""
+    lam = np.linalg.eigvalsh(_sym(Li @ dX @ np.swapaxes(Li, 1, 2)))[:, :1]
+    lam = np.minimum(lam, np.min(dv / v, axis=1, initial=0.0, keepdims=True))
+    return np.divide(-1.0, lam, out=np.full(lam.shape, math.inf), where=lam < 0)[..., None]
 
 
 def _flat(stack):
@@ -328,30 +333,52 @@ def solve_sdp(prog: GramProgram, tol: float = 1e-9, max_iter: int = 100) -> SdpS
     pinned exactly by the congruence diag(I, diag(w)^1/2 W_kk^-1/2), is
     "optimal" if it violates no row or the cone by more than 1e-7 and its
     dual checks within a gap of 1e-7 (see SdpSolution), else "max-iter".
+    The data-dependent oracle runs all draws of a call through the same
+    code at once (`_solve_batch`); this is that solver on one program.
     """
-    n_eq, n_in = len(prog.eq_mats), len(prog.ineq_mats)
-    T, w = _face(prog)
-    p, r = T.shape[1], len(w)
-    U, sv, Vt = np.linalg.svd(_flat(T.T @ prog.eq_mats @ T), full_matrices=False)
+    return _solve_batch([prog], tol, max_iter)[0]
+
+
+def _solve_batch(progs, tol=1e-9, max_iter=100):
+    """`solve_sdp` for programs that share their size, equality rows and
+    known block (the weight draws of one oracle call) in one run on stacked
+    iterates, with one SdpSolution per program as if solved alone. A done
+    mask stops each draw at its own exit: convergence, a Farkas ray, or a
+    Schur system that breaks down in its own step; `iterations` are its own.
+
+    Draws with fewer inequality rows get padding rows after their real ones:
+    zero in Af and q, with slack and multiplier fixed at 1. Each adds an
+    identity row to its Schur system and has no share in mu, the step
+    lengths or the reported y.
+    """
+    prog0, K = progs[0], len(progs)
+    T, w = _face(prog0)
+    p, r, n_eq = T.shape[1], len(w), len(prog0.eq_rhs)
+    U, sv, Vt = np.linalg.svd(_flat(T.T @ prog0.eq_mats @ T), full_matrices=False)
     keep = sv > 1e-10 * max(1.0, float(sv.max(initial=0.0)))
     U, sv, Vt = U[:, keep], sv[keep], Vt[keep]
     # Equalities inconsistent on the face: their residual combines the rows
     # to (nearly) zero there while rhs . y > 0, a Farkas ray.
-    miss = prog.eq_rhs - U @ (U.T @ prog.eq_rhs)
-    if np.linalg.norm(miss) > 1e-10 * (1.0 + np.linalg.norm(prog.eq_rhs)):
-        ray = np.concatenate([miss, np.zeros(n_in)]) / np.linalg.norm(miss)
-        status, ray = ("infeasible", ray) if _is_ray(prog, ray, T) else ("max-iter", None)
-        return SdpSolution(np.zeros((prog.size,) * 2), -math.inf, status, math.inf, 0, y=ray)
-    B = T.T @ prog.ineq_mats @ T
-    nb = np.maximum(np.linalg.norm(_flat(B), axis=1), 1e-12)
-    A = np.concatenate([_sym(Vt.reshape(-1, p, p)), B / nb[:, None, None]])
-    Af, q = _flat(A), np.concatenate([U.T @ prog.eq_rhs / sv, prog.ineq_rhs / nb])
-    C = T.T @ prog.obj_coeff @ T
-    k = len(sv)
-    # Reduced multipliers -> program rows.
-    to_rows = np.zeros((n_eq + n_in, len(A)))
-    to_rows[:n_eq, :k] = U / sv
-    to_rows[n_eq:, k:] = np.diag(1.0 / nb)
+    miss = prog0.eq_rhs - U @ (U.T @ prog0.eq_rhs)
+    if np.linalg.norm(miss) > 1e-10 * (1.0 + np.linalg.norm(prog0.eq_rhs)):
+        sols = []
+        for prog in progs:
+            ray = np.concatenate([miss, np.zeros(len(prog.ineq_rhs))]) / np.linalg.norm(miss)
+            status, ray = ("infeasible", ray) if _is_ray(prog, ray, T) else ("max-iter", None)
+            sols.append(SdpSolution(np.zeros((prog.size,) * 2), -math.inf, status, math.inf, 0, y=ray))
+        return sols
+    k, m = len(sv), len(sv) + max(len(prog.ineq_rhs) for prog in progs)
+    Af, q, real, to_rows = np.zeros((K, m, p * p)), np.zeros((K, m)), np.zeros((K, m - k)), []
+    Af[:, :k], q[:, :k] = _flat(_sym(Vt.reshape(-1, p, p))), U.T @ prog0.eq_rhs / sv
+    for i, prog in enumerate(progs):
+        n = len(prog.ineq_rhs)
+        B = T.T @ prog.ineq_mats @ T
+        nb = np.maximum(np.linalg.norm(_flat(B), axis=1), 1e-12)
+        Af[i, k : k + n], q[i, k : k + n], real[i, :n] = _flat(B / nb[:, None, None]), prog.ineq_rhs / nb, 1.0
+        # Reduced multipliers -> program rows.
+        to_rows.append(np.zeros((n_eq + n, m)))
+        to_rows[i][:n_eq, :k], to_rows[i][n_eq:, k : k + n] = U / sv, np.diag(1.0 / nb)
+    C = T.T @ np.stack([prog.obj_coeff for prog in progs]) @ T
 
     def gram(X):
         if r:
@@ -361,83 +388,109 @@ def solve_sdp(prog: GramProgram, tol: float = 1e-9, max_iter: int = 100) -> SdpS
             X = D @ X @ D.T
         return _sym(T @ X @ T.T)
 
-    xi = max(10.0, math.sqrt(p), p * float(np.max(1.0 + np.abs(q), initial=1.0)))
-    zeta = max(10.0, math.sqrt(p), float(np.linalg.norm(C)))
-    X, s = xi * np.eye(p), np.full(n_in, xi)
-    Z, y = zeta * np.eye(p), np.concatenate([np.zeros(k), np.full(n_in, zeta)])
-    best, it = (math.inf, X, y), 0
+    xi = np.maximum(max(10.0, math.sqrt(p)), p * np.max(1.0 + np.abs(q), axis=1, keepdims=True))
+    zeta = np.maximum(max(10.0, math.sqrt(p)), np.linalg.norm(C, axis=(1, 2))[:, None])
+    X, s, Z = xi[..., None] * np.eye(p), np.where(real > 0, xi, 1.0), zeta[..., None] * np.eye(p)
+    y = np.concatenate([np.zeros((K, k)), np.where(real > 0, zeta, 1.0)], axis=1)
+    best, best_X, best_y, iters = np.full(K, math.inf), X.copy(), y.copy(), np.zeros(K, dtype=int)
+    sols, run = [None] * K, np.ones(K, dtype=bool)
     for it in range(1, max_iter + 1):
-        rp = q - Af @ X.ravel()
-        rp[k:] -= s
-        Rd = C - (y @ Af).reshape(p, p) + Z
-        pobj, dobj = float(np.sum(C * X)), float(q @ y)
+        rp = q - (Af @ X.reshape(K, p * p, 1))[..., 0]
+        rp[:, k:] -= s * real
+        Rd = C - (y[:, None] @ Af).reshape(X.shape) + Z
+        pobj, dobj = np.sum(C * X, axis=(1, 2)), np.sum(q * y, axis=1)
         # Relative residuals and gap. The verdict goes to the best iterate:
         # on degenerate programs the primal residual grows again late.
-        gap = abs(dobj - pobj) / (1 + abs(pobj))
-        err = max(np.linalg.norm(rp) / (1 + np.linalg.norm(q)), np.linalg.norm(Rd) / (1 + np.linalg.norm(C)), gap)
-        if err < best[0]:
-            best = (err, X, y)
-        if err <= tol:
-            break
-        if dobj < 0:
+        gap = np.abs(dobj - pobj) / (1 + np.abs(pobj))
+        res_p = np.linalg.norm(rp, axis=1) / (1 + np.linalg.norm(q, axis=1))
+        err = np.max([res_p, np.linalg.norm(Rd, axis=(1, 2)) / (1 + np.linalg.norm(C, axis=(1, 2))), gap], axis=0)
+        up = run & (err < best)
+        best[up], best_X[up], best_y[up], iters[run] = err[up], X[up], y[up], it
+        run &= ~(err <= tol)  # a NaN error is no convergence
+        for i in np.flatnonzero(run & (dobj < 0)):
             # The dual objective heads to -inf: try the dual direction as a ray.
-            ray = -(to_rows @ y) / np.linalg.norm(to_rows @ y)
-            if _is_ray(prog, ray, T):
-                return SdpSolution(gram(X), -math.inf, "infeasible", math.inf, it, y=ray)
-        try:
-            X, s, y, Z = _ipm_step(Af, k, X, s, y, Z, rp, Rd)
-        except np.linalg.LinAlgError:
+            ray = -(to_rows[i] @ y[i]) / np.linalg.norm(to_rows[i] @ y[i])
+            if _is_ray(progs[i], ray, T):
+                sols[i], run[i] = SdpSolution(gram(X[i]), -math.inf, "infeasible", math.inf, it, y=ray), False
+        go = np.flatnonzero(run)
+        if not len(go):
             break
+        args = [v[go] for v in (Af, real, X, s, y, Z, rp, Rd)]
+        try:
+            X[go], s[go], y[go], Z[go] = _ipm_step(k, *args)
+        except np.linalg.LinAlgError:
+            # Redo the step one draw at a time; only the draws that raise stop.
+            for j, i in enumerate(go):
+                try:
+                    one = _ipm_step(k, *(v[j : j + 1] for v in args))
+                    X[i], s[i], y[i], Z[i] = (v[0] for v in one)
+                except np.linalg.LinAlgError:
+                    run[i] = False
     # Converged, stalled or out of iterations: the best iterate is optimal
     # if its evidence checks.
-    G, dual = gram(best[1]), to_rows @ best[2]
-    objective, bound, residual = prog.objective_value(G), _dual_bound(prog, dual, T), _residual_of(prog, G)
-    if residual <= _GAP and objective <= bound <= objective + _GAP:
-        return SdpSolution(G, objective, "optimal", residual, it, bound, dual)
-    return SdpSolution(G, objective, "max-iter", residual, it)
+    for i, prog in enumerate(progs):
+        if sols[i] is None:
+            G, dual = gram(best_X[i]), to_rows[i] @ best_y[i]
+            objective, bound, residual = prog.objective_value(G), _dual_bound(prog, dual, T), _residual_of(prog, G)
+            if residual <= _GAP and objective <= bound <= objective + _GAP:
+                sols[i] = SdpSolution(G, objective, "optimal", residual, int(iters[i]), bound, dual)
+            else:
+                sols[i] = SdpSolution(G, objective, "max-iter", residual, int(iters[i]))
+    return sols
 
 
-def _ipm_step(Af, k, X, s, y, Z, rp, Rd):
-    """One Mehrotra predictor-corrector step along HKM directions.
+def _ipm_step(k, Af, real, X, s, y, Z, rp, Rd):
+    """One Mehrotra predictor-corrector step along HKM directions for each
+    program of a stack.
 
-    Rows k: of Af are inequalities with slacks s, whose multipliers y[k:]
-    double as the slacks' dual variables.
+    Rows k: of Af are inequalities with slacks s, whose multipliers y[:, k:]
+    double as the slacks' dual variables. `real` is 0 on padding rows (see
+    `_solve_batch`), whose slack targets are 0, so their directions stay 0.
     """
-    p = X.shape[0]
-    yin = y[k:]
-    mu = (float(np.sum(X * Z)) + float(s @ yin)) / (p + len(s))
-    Zi = np.linalg.inv(Z)
-    H = _sym(Af @ _flat(X @ Af.reshape(-1, p, p) @ Zi).T)
-    H[k:, k:] += np.diag(s / yin)
-    L = np.linalg.cholesky(H)
+    p, yin = X.shape[-1], y[:, k:]
+    LXi, LZi = np.linalg.inv(np.linalg.cholesky(X)), np.linalg.inv(np.linalg.cholesky(Z))
+    Zi = np.swapaxes(LZi, 1, 2) @ LZi
+    XAZ = (X[:, None] @ Af.reshape(*Af.shape[:2], p, p) @ Zi[:, None]).reshape(Af.shape)  # X A_i Z^-1, flat
+    H = _sym(Af @ np.swapaxes(XAZ, 1, 2))
+    d = np.arange(k, Af.shape[1])
+    H[:, d, d] += s / yin
+    # H^-1 is applied as two triangular factors: their product H^-1 loses
+    # accuracy on the ill-conditioned Schur systems of late iterations.
+    Li = np.linalg.inv(np.linalg.cholesky(H))
+    LiT = np.swapaxes(Li, 1, 2)
 
     def direction(R, rs):
         # Newton step for A(X) + [0; s] = q, A^T y - Z = C and the
         # complementarity targets R (matrix, XZ-linearized) and rs (slacks).
         def rest(dy):
-            dZ = (dy @ Af).reshape(p, p) - Rd
-            return _sym(R - X @ dZ @ Zi), rs - s / yin * dy[k:], dZ
+            dZ = (dy[:, None] @ Af).reshape(X.shape) - Rd
+            return _sym(R - X @ dZ @ Zi), rs - s / yin * dy[:, k:], dZ
 
         # Iterative refinement from dy = 0: the Schur system ends ill-conditioned.
-        dy = np.zeros(len(rp))
+        dy = np.zeros(rp.shape)
         for _ in range(4):
             dX, ds, _ = rest(dy)
-            err = rp - Af @ dX.ravel()
-            err[k:] -= ds
-            dy = dy - np.linalg.solve(L.T, np.linalg.solve(L, err))
+            err = rp - (Af @ dX.reshape(len(X), p * p, 1))[..., 0]
+            err[:, k:] -= ds
+            dy = dy - (LiT @ (Li @ err[..., None]))[..., 0]
         dX, ds, dZ = rest(dy)
         return dX, ds, dy, dZ
 
     def steps(dX, ds, dy, dZ, frac):
-        return min(1.0, frac * _max_step(X, dX, s, ds)), min(1.0, frac * _max_step(Z, dZ, yin, dy[k:]))
+        # Primal and dual step lengths, each shaped (K, 1, 1).
+        ap = np.minimum(1.0, frac * _max_step(LXi, dX, s, ds))
+        return ap, np.minimum(1.0, frac * _max_step(LZi, dZ, yin, dy[:, k:]))
 
-    dX, ds, dy, dZ = direction(-X, -s)
+    def mu(X, Z, s, yin):
+        return (np.sum(X * Z, axis=(1, 2)) + np.sum(s * yin * real, axis=1)) / (p + real.sum(axis=1))
+
+    dX, ds, dy, dZ = direction(-X, -s * real)
     ap, ad = steps(dX, ds, dy, dZ, 1.0)
-    mu_aff = (float(np.sum((X + ap * dX) * (Z + ad * dZ))) + float((s + ap * ds) @ (yin + ad * dy[k:]))) / (p + len(s))
-    sigma = (mu_aff / mu) ** 3
-    dX, ds, dy, dZ = direction(sigma * mu * Zi - X - dX @ dZ @ Zi, (sigma * mu - ds * dy[k:]) / yin - s)
+    mu0, mu_aff = mu(X, Z, s, yin), mu(X + ap * dX, Z + ad * dZ, s + ap[:, 0] * ds, yin + ad[:, 0] * dy[:, k:])
+    sm = ((mu_aff / mu0) ** 3 * mu0)[:, None]  # sigma * mu
+    dX, ds, dy, dZ = direction(sm[..., None] * Zi - X - dX @ dZ @ Zi, ((sm - ds * dy[:, k:]) / yin - s) * real)
     ap, ad = steps(dX, ds, dy, dZ, _STEP)
-    return X + ap * dX, s + ap * ds, y + ad * dy, Z + ad * dZ
+    return X + ap * dX, s + ap[:, 0] * ds, y + ad[:, 0] * dy, Z + ad * dZ
 
 
 def recover_vectors(
@@ -487,23 +540,16 @@ def recover_vectors(
     keep = w > 1e-12 * scale
     A = (np.sqrt(w[keep])[:, None] * Q.T[keep])  # r x 4, A^T A = S
 
-    r_needed = A.shape[0]
+    # Fresh directions: the orthogonal complement of span{mu_+, mu_-, theta},
+    # then new coordinates where it has too few.
     U, sv, _ = np.linalg.svd(Mk, full_matrices=True)
-    rank_span = int(np.sum(sv > 1e-12 * max(1.0, sv.max() if sv.size else 0.0)))
-    avail = d - rank_span
-    deficit = max(0, r_needed - avail)
-    d_ext = d + deficit
-
-    V = np.zeros((d_ext, r_needed))
-    take = min(avail, r_needed)
-    if take > 0:
-        V[:d, :take] = U[:, rank_span : rank_span + take]
-    for k in range(deficit):
-        V[d + k, take + k] = 1.0
-    M_ext = np.zeros((d_ext, 3))
-    M_ext[:d] = Mk
-
-    X = V @ A + M_ext @ B  # d_ext x 4
+    rank = int(np.sum(sv > 1e-12 * max(1.0, sv.max())))
+    take = min(d - rank, len(A))
+    V = np.zeros((d + len(A) - take, len(A)))
+    V[:d, :take] = U[:, rank : rank + take]
+    V[d:, take:] = np.eye(len(A) - take)
+    X = V @ A  # d_ext x 4
+    X[:d] += Mk @ B
     return X.T
 
 
@@ -564,34 +610,38 @@ def max_loss_data_dependent(
 
     Draws `samples` weight vectors uniformly from the simplex (Dirichlet(1^4)
     scaled by eps), solves the Gram SDP for each and for each row of the
-    caller's (m, 4) `extra_weights` (boundary supports), and keeps the best
-    objective among the "optimal" solves; theta = 0 has a closed form.
-    Raises SdpOracleError with diagnostics when no solve is optimal.
+    caller's (m, 4) `extra_weights` (boundary supports: non-negative rows
+    summing to eps) in one batched solve, and keeps the best objective among
+    the "optimal" draws, the first on ties; theta = 0 has a closed form.
+    Raises SdpOracleError with diagnostics when no draw is optimal.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    extra = np.asarray(extra_weights, dtype=float)
+    extra = extra.reshape(0, 4) if extra.size == 0 else extra
+    # Values compare across rows only when every row has total mass eps.
+    ok = extra.ndim == 2 and extra.shape[1] == 4 and (extra >= 0).all()
+    if not (ok and (abs(extra.sum(axis=1) - eps) <= 1e-12 * eps).all()):
+        raise ValueError(f"extra_weights must be (m, 4) non-negative rows summing to eps = {eps}")
     if float(np.linalg.norm(model.theta)) == 0.0:
         return _zero_model_result(stats, model, F, eps)
     rng = np.random.default_rng(seed)
     # Each draw fills (a+, b+, a-, b-) in turn; columns go to variable order.
     draws = np.array([eps * rng.dirichlet(np.ones(4)) for _ in range(samples)])[:, [0, 2, 1, 3]]
-    weights = np.concatenate([draws, np.reshape(extra_weights, (-1, 4))])
-
-    best = None
-    statuses = []
-    for w in weights:
-        prog = build_gram_program(stats, model, F, w)
-        sol = solve_sdp(prog, max_iter=max_iter)
-        statuses.append(sol.status)
-        if sol.status == "optimal" and (best is None or sol.objective > best[1].objective):
-            best = (w, sol, prog)
-
-    if best is None:
+    weights = np.concatenate([draws, extra])
+    progs = [build_gram_program(stats, model, F, w) for w in weights]
+    sols = _solve_batch(progs, max_iter=max_iter)
+    optimal = [i for i, sol in enumerate(sols) if sol.status == "optimal"]
+    if not optimal:
+        statuses = [sol.status for sol in sols]
         counts = {s: statuses.count(s) for s in sorted(set(statuses))}
         raise SdpOracleError(f"all {len(weights)} weight draws failed; statuses={counts}")
-    masses, sol, prog = best
+    best = max(optimal, key=lambda i: sols[i].objective)  # ties keep the first draw
+    masses, sol, prog = weights[best], sols[best], progs[best]
     X_full = recover_vectors(sol.G_opt, stats.mu_plus, stats.mu_minus, model.theta)
     d = stats.mu_plus.shape[0]
     labels = np.array(_ATTACK_LABELS)

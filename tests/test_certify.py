@@ -243,6 +243,16 @@ class TestCertifyDataDependent:
             )
         assert not calls
 
+    @pytest.mark.parametrize("sdp_max_iter", [0, -1])
+    def test_rejects_sdp_max_iter_below_one(self, monkeypatch, sdp_max_iter):
+        # 0 solved every draw to "max-iter" and ended in a CertificationError.
+        ds, F = gaussian_fixture(n=60, seed=5, kind="data-dependent")
+        calls = []
+        monkeypatch.setattr(certify_mod.sdp_mod, "max_loss_data_dependent", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="sdp_max_iter"):
+            certify_data_dependent(ds, F, eps=0.25, rho=2.0, sdp_samples=1, steps=4, sdp_max_iter=sdp_max_iter)
+        assert not calls
+
     def test_fails_when_too_many_steps_skipped(self, monkeypatch):
         ds, F = gaussian_fixture(n=60, seed=5, kind="data-dependent")
 

@@ -244,21 +244,85 @@ class TestSolve:
             check_farkas(prog, -sol.y)
 
 
+class TestBatchedSolve:
+    """One oracle call's draws run as one stacked solve; each draw must get
+    the verdict it gets alone."""
+
+    @staticmethod
+    def _check_against_solo(progs, batch):
+        for prog, sol in zip(progs, batch, strict=True):
+            alone = solve_sdp(prog)
+            assert (sol.status, sol.iterations) == (alone.status, alone.iterations)
+            assert sol.objective == pytest.approx(alone.objective, abs=1e-10)
+            assert sol.dual_bound == pytest.approx(alone.dual_bound, abs=1e-10)
+            if sol.status == "optimal":
+                check_dual(prog, sol)
+            elif sol.status == "infeasible":
+                check_farkas(prog, sol.y)
+
+    def test_mixed_row_counts_match_solo_solves(self):
+        # Dirichlet draws have 16 inequality rows, the corners 13 or 14 (a
+        # zero-mass point has no margin row), so the corners carry padding.
+        ds, stats, params, model = setup_instance(seed=3, n=200)
+        eps = 0.3
+        draws = eps * np.random.default_rng(4).dirichlet(np.ones(4), size=5)
+        weights = np.concatenate([draws, sdp_mod._corner_weights(eps)])
+        progs = [build_gram_program(stats, model, params, w) for w in weights]
+        assert [len(prog.ineq_rhs) for prog in progs] == [16] * 5 + [13, 13, 14, 14]
+        batch = sdp_mod._solve_batch(progs)
+        assert all(sol.status == "optimal" for sol in batch)
+        self._check_against_solo(progs, batch)
+
+    def test_infeasible_draws_keep_their_rays(self):
+        # At theta = (1e-3, 0) no off-margin point is reachable: draws with
+        # off-margin mass are infeasible, the on-margin ones optimal.
+        ds, stats, params, _ = setup_instance(seed=5, n=100)
+        tiny = LinearModel(np.array([1e-3, 0.0]), 2.0)
+        weights = [[0.3, 0, 0, 0], [0, 0, 0.3, 0], [0.15, 0.15, 0, 0], [0.1, 0.05, 0.1, 0.05]]
+        progs = [build_gram_program(stats, tiny, params, w) for w in weights]
+        batch = sdp_mod._solve_batch(progs)
+        assert [sol.status for sol in batch] == ["optimal", "infeasible", "optimal", "infeasible"]
+        self._check_against_solo(progs, batch)
+
+    def test_schur_breakdown_stops_only_its_draw(self, monkeypatch):
+        ds, stats, params, model = setup_instance(seed=3, n=200)
+        eps = 0.3
+        draws = eps * np.random.default_rng(4).dirichlet(np.ones(4), size=3)
+        progs = [build_gram_program(stats, model, params, w) for w in np.concatenate([draws, [[eps, 0, 0, 0]]])]
+        alone = [solve_sdp(prog) for prog in progs[:3]]
+        real = np.linalg.cholesky
+
+        def cholesky(a):
+            # Only the corner's Schur system has padding rows: a trailing
+            # identity row. It fails to factor, alone or in the stack.
+            if a.shape[-1] > 7 and np.any(np.all(a[..., -1, :-1] == 0, axis=-1) & (a[..., -1, -1] == 1)):
+                raise np.linalg.LinAlgError("forced breakdown")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        batch = sdp_mod._solve_batch(progs)
+        assert (batch[3].status, batch[3].iterations) == ("max-iter", 1)
+        for sol, ref in zip(batch[:3], alone, strict=True):
+            assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+            assert sol.objective == pytest.approx(ref.objective, abs=1e-10)
+
+
 def _recorded_dd_run(monkeypatch, eta):
     """certify_data_dependent on the n=80 sample of the data-dependent
     benchmark workloads (eta None keeps theta inside the norm ball, eta 10
-    puts it on the boundary); returns the certificate and every solve."""
+    puts it on the boundary); returns the certificate and every draw's
+    (program, solution) pair from the oracle's batched solves."""
     ds = generate_gaussian(GaussianSpec(d=2, lam=2.0, n=80, seed=5))
     params = calibrate_thresholds(ds, class_stats(ds), 0.7)
     solves = []
-    real = sdp_mod.solve_sdp
+    real = sdp_mod._solve_batch
 
-    def recording(prog, *args, **kwargs):
-        sol = real(prog, *args, **kwargs)
-        solves.append((prog, sol))
-        return sol
+    def recording(progs, *args, **kwargs):
+        sols = real(progs, *args, **kwargs)
+        solves.extend(zip(progs, sols))
+        return sols
 
-    monkeypatch.setattr(sdp_mod, "solve_sdp", recording)
+    monkeypatch.setattr(sdp_mod, "_solve_batch", recording)
     cert = certify_data_dependent(
         ds, FeasibleSet("data-dependent", params), eps=0.25, rho=2.0, eta=eta, seed=0, steps=2, sdp_samples=1
     )
@@ -464,6 +528,24 @@ class TestDataDependentOracle:
             extra_weights=corners, max_iter=15_000,
         )
         assert res.value == pytest.approx(nested_best, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [np.full((4, 3), 0.25 / 3), [[0.5, 0, 0, 0]], [[0.3, -0.05, 0, 0]], [[np.nan, 0.25, 0, 0]], [0.25, 0, 0, 0]],
+        ids=["three-columns", "mass-above-eps", "negative", "nan", "flat"],
+    )
+    def test_malformed_extra_weights_rejected(self, extra):
+        # Each row must be one support of total mass eps: values of rows with
+        # other masses are not comparable, and a (4, 3) array is no (m, 4) one.
+        ds, stats, params, model = setup_instance(seed=3, n=200)
+        with pytest.raises(ValueError, match="extra_weights"):
+            max_loss_data_dependent(stats, model, params, 0.25, samples=1, seed=0, extra_weights=extra)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        ds, stats, params, model = setup_instance(seed=3, n=200)
+        with pytest.raises(ValueError, match="max_iter"):
+            max_loss_data_dependent(stats, model, params, 0.25, samples=1, seed=0, max_iter=max_iter)
 
     def test_all_infeasible_raises_with_diagnostics(self):
         ds, stats, params, model = setup_instance(seed=5, n=100)

@@ -5,10 +5,11 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tools/digests.py > digests.txt
 
-and diff the files written on two checkouts: 57 digests, 19 certificates
-and 38 CLI output files. The script calls only `certify_fixed`,
-`certify_data_dependent` and `cli.main` with options both sides accept, so
-the same file runs on either. The CLI runs work inside a temporary directory
+and diff the files written on two checkouts: 58 digests, 19 certificates,
+one data-dependent oracle result and 38 CLI output files. The script calls
+only `certify_fixed`, `certify_data_dependent`, `max_loss_data_dependent`
+and `cli.main` with options both sides accept, so the same file runs on
+either. The CLI runs work inside a temporary directory
 and name their file datasets by relative paths, so no config hash carries
 that directory's name. Two data-dependent runs
 replace `certify.sdp_mod.max_loss_data_dependent` for their duration with a
@@ -130,6 +131,31 @@ def library_runs():
         yield f"dd_fail_call{call}", cert
 
 
+def oracle_runs():
+    """(name, JSON document) for direct oracle calls: one data-dependent
+    call on d = 3 Gaussian data with five Dirichlet draws and the four
+    corner supports, so its draws have 16, 13 and 14 inequality rows; every
+    draw reaches a verdict within the default 100 iterations."""
+    ds, F = _gaussian(3, 200, 0, kind="data-dependent")
+    stats, eps = pc.class_stats(ds), 0.2
+    model = pc.train_erm(ds, 2.0).model
+    corners = certify_mod.sdp_mod._corner_weights(eps)
+    res = pc.max_loss_data_dependent(stats, model, F.params, eps, samples=5, seed=0, extra_weights=corners)
+    sol = res.solution
+    yield "oracle_dd_d3", {
+        "points_full": res.points_full.tolist(),
+        "masses": res.masses.tolist(),
+        "value": res.value,
+        "support_violation": res.support_violation,
+        "status": sol.status,
+        "iterations": sol.iterations,
+        "objective": sol.objective,
+        "dual_bound": sol.dual_bound,
+        "y": sol.y.tolist(),
+        "G_opt": sol.G_opt.tolist(),
+    }
+
+
 def _write_config(path, cfg):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cfg, fh)
@@ -224,6 +250,8 @@ def main():
     for name, cert in library_runs():
         doc = json.dumps(cert.to_json_dict(), sort_keys=True)
         print(f"{_sha(doc.encode())}  lib/{name}")
+    for name, doc in oracle_runs():
+        print(f"{_sha(json.dumps(doc, sort_keys=True).encode())}  lib/{name}")
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as root:
         os.chdir(root)
