@@ -20,13 +20,13 @@ and `masses` summing to eps; `value`, the mass-weighted worst loss added to
 the clean loss in the objective u (it must not under-estimate the maximum
 for u to stay an upper bound); `loss`, the worst loss per unit of mass,
 stored as `StepRecord.oracle_loss`; and `result`, what attack assembly
-needs from the answer. The fixed-defense oracles answer per class, and the
-step takes the row of largest loss: its relaxed row as the support, the
-best feasible (integer) row and its label as `result`. The SDP oracle's
-support is its four weighted points and `result` its whole answer, which
-carries the support's own `support_violation`. An
+needs from the answer. For both fixed kinds the oracle is the closed form:
+the support is its row of largest loss and `result` the step's model and
+seed, with which an integer certificate rounds the step's point once, at
+assembly. The SDP oracle's support is its four weighted points and `result`
+its whole answer, which carries the support's own `support_violation`. An
 oracle that raises `SdpOracleError` skips its step; more than a tenth of
-the steps skipped fails the run.
+the `steps` (an integer >= 1) skipped fails the run.
 
 The learner is the driver's cumulative gradient G and its lambda;
 `rda_step(G, rho, eta)` maps G to the next iterate. Each step leaves one
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -214,7 +215,7 @@ def _default_eta(D_c: Dataset, params: SphereSlabParams, eps: float, T: int, rho
         for y in (1, -1)
     )
     g_bar = max(mean_norm + eps * feas, 1e-12)
-    return rho / (g_bar * math.sqrt(max(T, 1)))
+    return rho / (g_bar * math.sqrt(T))
 
 
 def _clean_loss_and_grad(theta, D_c):
@@ -262,6 +263,8 @@ def _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, oracle, assem
     """
     if D_c.d != params.d:
         raise ValueError("dimension mismatch between data and defense")
+    if steps is not None and (not isinstance(steps, numbers.Integral) or steps < 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     if eps == 0:
         attack = Dataset(np.zeros((0, D_c.d)), np.zeros(0, dtype=int))
         scored = _score(D_c, attack, rho)
@@ -312,26 +315,24 @@ def _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, oracle, assem
     # is the objective at the final iterate, or its own u_before when the
     # oracle fails there.
     u_live = [u for _, u, _, _, _, skipped in rows if not skipped]
-    if live:
-        try:
-            step_T = oracle(theta, int(step_seeds[T]))
-            u_live.append(_clean_loss_and_grad(theta, D_c)[0] + step_T.value)
-        except sdp_mod.SdpOracleError as exc:
-            logger.warning("final objective evaluation skipped: %s", exc)
-            u_live.append(u_live[-1])
+    try:
+        step_T = oracle(theta, int(step_seeds[T]))
+        u_live.append(_clean_loss_and_grad(theta, D_c)[0] + step_T.value)
+    except sdp_mod.SdpOracleError as exc:
+        logger.warning("final objective evaluation skipped: %s", exc)
+        u_live.append(u_live[-1])
     u_after = iter(u_live[1:])
     records = [
         StepRecord(t, u, None if skipped else next(u_after), lam_t, norm, loss, skipped)
         for t, u, lam_t, norm, loss, skipped in rows
     ]
-    upper = float(np.min(u_live[1:])) if live else float("inf")
     return Certificate(
         kind=kind,
         eps=eps,
         rho=rho,
         eta=eta,
         n_clean=n,
-        upper_bound=upper,
+        upper_bound=float(np.min(u_live[1:])),
         steps=records,
         **assemble(live, attack_size, rng),
     )
@@ -360,40 +361,42 @@ def certify_fixed(
     both are asserted.
 
     With `F.integer_features` set the upper bound and gradients come from
-    the continuous relaxation while the emitted attack holds the rounded
-    feasible points; the regret-gap assertion is skipped since rounding may
-    leave a genuine integrality gap.
+    the continuous relaxation while the emitted attack holds the points
+    rounded at assembly; the regret-gap assertion is skipped since rounding
+    may leave a genuine integrality gap.
     """
     if F.is_data_dependent:
         raise ValueError("certify_fixed requires an oracle (fixed) feasible set")
     params = F.params
-    integer_mode = F.integer_features
 
     def weighted(attack):
         # With a `steps` override each attack point carries mass eps*n/attack.n.
         return steps is not None and 0 < attack.n != math.floor(eps * D_c.n)
 
     def oracle(theta, step_seed):
+        # The relaxed optimum carries the bound and the gradient.
         model = LinearModel(theta, rho)
-        if integer_mode:
-            res = max_loss_integer(params, model, rounding_budget, step_seed, coord_cap=coord_cap)
-            relaxed = res.relaxed
-        else:
-            res = relaxed = max_loss_continuous(params, model)
-        # The relaxed optimum carries the bound and the gradient; the attack
-        # keeps the best feasible rounding and its label (None when none was
-        # found). Both rows are copies, so a step does not hold whole answers.
-        i, k = int(np.argmax(relaxed.losses)), int(np.argmax(res.losses))
+        relaxed = max_loss_continuous(params, model)
+        i = int(np.argmax(relaxed.losses))
         loss = float(relaxed.losses[i])
-        found = None if res.no_candidate else (res.X[k].copy(), LABELS[k])
-        return _OracleStep(relaxed.X[[i]], LABELS[[i]], np.array([eps]), eps * loss, loss, found)
+        return _OracleStep(relaxed.X[[i]], LABELS[[i]], np.array([eps]), eps * loss, loss, (model, step_seed))
+
+    def attack_row(step):
+        # The step's own support row, or in integer mode the best feasible
+        # rounding at its model and seed (None when the budget found none).
+        if not F.integer_features:
+            return step.points[0], step.labels[0]
+        model, step_seed = step.result
+        res = max_loss_integer(params, model, rounding_budget, step_seed, coord_cap=coord_cap)
+        k = int(np.argmax(res.losses))
+        return None if res.no_candidate else (res.X[k], LABELS[k])
 
     def assemble(live, _attack_size, _rng):
-        found = [step.result for step in live if step.result is not None]
+        found = [row for row in map(attack_row, live) if row is not None]
         attack = Dataset(
             np.array([x for x, _ in found]).reshape(-1, D_c.d),
             np.array([y for _, y in found], dtype=int),
-            integer_features=integer_mode,
+            integer_features=F.integer_features,
         )
         misses = len(live) - len(found)
         return {
@@ -402,16 +405,14 @@ def certify_fixed(
             "notes": [f"{misses} steps produced no feasible integer rounding"] if misses else [],
         }
 
-    kind = "integer" if integer_mode else "fixed"
+    kind = "integer" if F.integer_features else "fixed"
     cert = _dual_averaging(kind, D_c, params, eps, rho, eta, seed, steps, oracle, assemble)
-    if cert.n_steps == 0:
-        return cert
     upper, lower = cert.upper_bound, cert.lower_bound
     if lower > upper + _SANDWICH_TOL:
         raise CertificationError(
             f"lower bound {lower:.9f} exceeds upper bound {upper:.9f} beyond tolerance"
         )
-    if not integer_mode and not weighted(cert.attack):
+    if not F.integer_features and not weighted(cert.attack):
         gap_bound = cert.avg_regret_bound + _SANDWICH_TOL
         if cert.duality_gap > gap_bound:
             raise CertificationError(
@@ -475,18 +476,16 @@ def certify_data_dependent(
     def assemble(live, attack_size, rng):
         # Candidate attacks: sample multisets from the strongest distributions.
         strongest = [step.result for step in sorted(live, key=lambda step: -step.value)[:eval_steps]]
-        best = None
-        for res in strongest:
-            masses = res.masses
-            probs = masses / masses.sum() if masses.sum() > 0 else np.full(4, 0.25)
-            for _ in range(attack_samples):
-                counts = rng.multinomial(attack_size, probs)
-                attack = Dataset(np.repeat(res.points, counts, axis=0), np.repeat(res.labels, counts).astype(int))
-                scored = _score(D_c, attack, rho)
-                if best is None or scored["lower_bound"] > best["lower_bound"]:
-                    best = {**scored, "attack": attack, "attack_masses": masses}
-        if best is None:
-            raise CertificationError("no attack candidate could be evaluated")
+
+        def candidates():
+            for res in strongest:
+                for _ in range(attack_samples):
+                    counts = rng.multinomial(attack_size, res.masses / res.masses.sum())
+                    attack = Dataset(np.repeat(res.points, counts, axis=0), np.repeat(res.labels, counts).astype(int))
+                    yield {**_score(D_c, attack, rho), "attack": attack, "attack_masses": res.masses}
+
+        # max keeps the first of equal lower bounds.
+        best = max(candidates(), key=lambda scored: scored["lower_bound"])
         return {**best, "support_violation": max(res.support_violation for res in strongest)}
 
     return _dual_averaging("data-dependent", D_c, params, eps, rho, eta, seed, steps, oracle, assemble)

@@ -29,6 +29,7 @@ from .attacks import gradient_attack, label_flip_attack
 from .certify import CertificationError, certify_data_dependent, certify_fixed
 from .data import (
     GaussianSpec,
+    _atomic_write,
     class_stats,
     concat,
     generate_gaussian,
@@ -94,13 +95,6 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _semantic(cfg):
     # Execution details (where to write, how many workers) are not part of
     # the experiment's identity.
@@ -155,9 +149,15 @@ def _config(args):
 
 
 def _validate(cfg):
+    if not cfg["eps"]:
+        raise ConfigError("eps must be a non-empty list of numbers")
     for e in cfg["eps"]:
         if not _fits(e, 0.0) or not 0 <= e <= 1:
             raise ConfigError(f"eps value {e!r} is not a number in [0, 1]")
+    if cfg["jobs"] < 1:
+        raise ConfigError(f"jobs must be at least 1, got {cfg['jobs']!r}")
+    if cfg["attack"]["kind"] not in ("label-flip", "gradient", "certificate"):
+        raise ConfigError(f"unknown attack kind {cfg['attack']['kind']!r}")
     if not cfg["seeds"] or not all(_fits(seed, 0) for seed in cfg["seeds"]):
         raise ConfigError(f"seeds {cfg['seeds']!r} must be a non-empty list of integers")
     if cfg["defense"]["kind"] not in ("oracle", "data-dependent"):
@@ -262,10 +262,8 @@ def cmd_certify(args):
     lines = [",".join(SWEEP_COLUMNS)]
     for (e, s), cert in zip(jobs, certs):
         cert_doc = cert.to_json_dict(config_echo={"config_hash": chash, "version": __version__, "eps": e, "seed": s})
-        _atomic_write(
-            os.path.join(out, f"certificate_eps{e}_seed{s}.json"),
-            json.dumps(cert_doc, sort_keys=True, indent=1) + "\n",
-        )
+        path = os.path.join(out, f"certificate_eps{e}_seed{s}.json")
+        _atomic_write(path, [json.dumps(cert_doc, sort_keys=True, indent=1) + "\n"])
         train, test, _ = prepared[s]
         held_out = evaluate(cert.model_tilde, test) if test is not None and test.n else None
         row = (
@@ -279,11 +277,9 @@ def cmd_certify(args):
             cert.avg_regret_bound,
         )
         lines.append(",".join(map(_fmt, row)))
-    _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
-    _atomic_write(
-        os.path.join(out, "manifest.json"),
-        json.dumps({"config": _semantic(cfg), "config_hash": chash, "version": __version__}, sort_keys=True, indent=1) + "\n",
-    )
+    _atomic_write(os.path.join(out, "sweep.csv"), (line + "\n" for line in lines))
+    manifest = {"config": _semantic(cfg), "config_hash": chash, "version": __version__}
+    _atomic_write(os.path.join(out, "manifest.json"), [json.dumps(manifest, sort_keys=True, indent=1) + "\n"])
     print(f"wrote {len(jobs)} certificates and sweep.csv to {out}")
     return 0
 
@@ -308,13 +304,11 @@ def cmd_attack(args):
         )
         attack = res.dataset
         report["clean_loss_trace"] = [float(v) for v in res.clean_loss_trace]
-    elif kind == "certificate":
+    else:
         cert = _run_certify_job(cfg, eps, seed, train, F)
         attack, model = cert.attack, cert.model_tilde
         report["upper_bound"] = cert.upper_bound
         report["lower_bound"] = cert.lower_bound
-    else:
-        raise ConfigError(f"unknown attack kind {kind!r}")
 
     if kind != "certificate":
         model = train_erm(concat(train, attack), rho).model
@@ -328,7 +322,7 @@ def cmd_attack(args):
         report["test_zero_one"] = rep.zero_one
 
     save_dataset(attack, os.path.join(out, "attack.csv"), "dense-csv")
-    _atomic_write(os.path.join(out, "attack_report.json"), json.dumps(report, sort_keys=True, indent=1) + "\n")
+    _atomic_write(os.path.join(out, "attack_report.json"), [json.dumps(report, sort_keys=True, indent=1) + "\n"])
     print(f"wrote attack.csv ({attack.n} points) and attack_report.json to {out}")
     return 0
 

@@ -9,6 +9,7 @@ integer input is densified at load time.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,104 +142,109 @@ def load_dataset(path, format: str) -> Dataset:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    if format == "dense-csv":
-        return _load_dense(path)
-    return _load_sparse(path)
-
-
-def _load_dense(path) -> Dataset:
-    rows, labels = [], []
-    d = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split(",")
-            label = _parse_label(toks[0], path, line_no)
-            try:
-                feats = np.array(toks[1:], dtype=float)
-            except ValueError:
-                raise ParseError(path, line_no, "unreadable feature value") from None
-            if not feats.size:
-                raise ParseError(path, line_no, "row has no features")
-            if not np.isfinite(feats).all():
-                raise ParseError(path, line_no, "non-finite feature value")
-            if d is None:
-                d = len(feats)
-            elif len(feats) != d:
-                raise ParseError(path, line_no, f"expected {d} features, got {len(feats)}")
-            rows.append(feats)
-            labels.append(label)
-    if not rows:
-        raise ParseError(path, 0, "file contains no data rows")
-    return Dataset(np.array(rows), np.array(labels))
-
-
-def _load_sparse(path) -> Dataset:
+    sparse = format == "sparse-text"
+    parse_row = _sparse_row if sparse else _dense_row
     d = None
     rows, labels = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if d is None:
-                    if not line.startswith("#d="):
-                        raise ParseError(path, line_no, "first header must be '#d=<int>'")
-                    try:
-                        d = int(line[3:])
-                    except ValueError:
-                        raise ParseError(path, line_no, f"bad dimension header {line!r}") from None
-                    if d < 1:
-                        raise ParseError(path, line_no, "dimension must be positive")
-                continue
-            if d is None:
-                raise ParseError(path, line_no, "data row before '#d=<int>' header")
-            toks = line.split()
-            label = _parse_label(toks[0], path, line_no)
-            x = np.zeros(d)
-            seen = set()
-            for tok in toks[1:]:
-                try:
-                    idx_s, val_s = tok.split(":")
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise ParseError(path, line_no, f"bad entry {tok!r}") from None
-                if not 0 <= idx < d:
-                    raise ParseError(path, line_no, f"index {idx} out of range for d={d}")
-                if idx in seen:
-                    raise ParseError(path, line_no, f"duplicate index {idx}")
-                if not math.isfinite(val) or val < 0 or abs(val - round(val)) > _INT_ATOL:
-                    raise ParseError(path, line_no, f"value {val_s!r} is not a non-negative integer")
-                seen.add(idx)
-                x[idx] = val
-            rows.append(x)
-            labels.append(label)
+            if sparse and d is None and line:
+                d = _sparse_header(line, path, line_no)
+            elif line and not line.startswith("#"):
+                toks = line.split() if sparse else line.split(",")
+                labels.append(_parse_label(toks[0], path, line_no))
+                rows.append(parse_row(toks[1:], d, path, line_no))
+                d = len(rows[-1])  # a dense file's first row sets its width
     if not rows:
         raise ParseError(path, 0, "file contains no data rows")
-    return Dataset(np.array(rows), np.array(labels), integer_features=True)
+    return Dataset(np.array(rows), np.array(labels), integer_features=sparse)
+
+
+def _dense_row(toks, d, path, line_no):
+    """The features of a dense-csv row; d is the file's width so far (None
+    before the first row)."""
+    try:
+        feats = np.array(toks, dtype=float)
+    except ValueError:
+        raise ParseError(path, line_no, "unreadable feature value") from None
+    if not feats.size:
+        raise ParseError(path, line_no, "row has no features")
+    if not np.isfinite(feats).all():
+        raise ParseError(path, line_no, "non-finite feature value")
+    if d is not None and len(feats) != d:
+        raise ParseError(path, line_no, f"expected {d} features, got {len(feats)}")
+    return feats
+
+
+def _sparse_header(line, path, line_no):
+    """d from a sparse-text file's first line, which must read '#d=<int>'."""
+    if not line.startswith("#"):
+        raise ParseError(path, line_no, "data row before '#d=<int>' header")
+    if not line.startswith("#d="):
+        raise ParseError(path, line_no, "first header must be '#d=<int>'")
+    try:
+        d = int(line[3:])
+    except ValueError:
+        raise ParseError(path, line_no, f"bad dimension header {line!r}") from None
+    if d < 1:
+        raise ParseError(path, line_no, "dimension must be positive")
+    return d
+
+
+def _sparse_row(toks, d, path, line_no):
+    """The dense (d,) point of a sparse-text row's "idx:val" entries."""
+    x = np.zeros(d)
+    seen = set()
+    for tok in toks:
+        try:
+            idx_s, val_s = tok.split(":")
+            idx, val = int(idx_s), float(val_s)
+        except ValueError:
+            raise ParseError(path, line_no, f"bad entry {tok!r}") from None
+        if not 0 <= idx < d:
+            raise ParseError(path, line_no, f"index {idx} out of range for d={d}")
+        if idx in seen:
+            raise ParseError(path, line_no, f"duplicate index {idx}")
+        if not math.isfinite(val) or val < 0 or abs(val - round(val)) > _INT_ATOL:
+            raise ParseError(path, line_no, f"value {val_s!r} is not a non-negative integer")
+        seen.add(idx)
+        x[idx] = val
+    return x
+
+
+def _atomic_write(path, chunks):
+    """Write the strings `chunks` to `path` through a temp file in the same
+    directory, moved over `path` (`os.replace`) once all are written. On any
+    error the temp file is removed and an existing `path` is left as it was."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def save_dataset(ds: Dataset, path, format: str) -> None:
-    """Write a dataset so that loading it back reproduces points and labels."""
+    """Write a dataset atomically so that loading it back reproduces points and labels."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if format == "sparse-text" and ds.X.size and not _is_nonneg_integral(ds.X):
         raise ValueError("sparse-text requires non-negative integer features")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if format == "dense-csv":
-            for i in range(ds.n):
-                feats = ",".join(repr(float(v)) for v in ds.X[i])
-                fh.write(f"{int(ds.y[i])},{feats}\n")
-        else:
-            fh.write(f"#d={ds.d}\n")
-            for i in range(ds.n):
-                entries = " ".join(
-                    f"{j}:{int(round(ds.X[i, j]))}" for j in np.flatnonzero(ds.X[i])
-                )
-                fh.write(f"{int(ds.y[i])} {entries}".rstrip() + "\n")
+
+    def lines():
+        if format == "sparse-text":
+            yield f"#d={ds.d}\n"
+        for x, label in zip(ds.X, ds.y):
+            if format == "dense-csv":
+                yield f"{int(label)}," + ",".join(repr(float(v)) for v in x) + "\n"
+            else:
+                entries = " ".join(f"{j}:{int(round(x[j]))}" for j in np.flatnonzero(x))
+                yield f"{int(label)} {entries}".rstrip() + "\n"
+
+    _atomic_write(path, lines())
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,34 @@ class TestCertifyInteger:
         assert cert.attack.integer_features
         assert membership_mask(F, cert.attack).all()
 
+    def test_rounds_once_per_step_at_assembly(self, monkeypatch):
+        # The learner and the final objective read the closed form; each
+        # step's point is rounded once, after the last step.
+        ds, F = self.make_integer_instance()
+        calls = {"continuous": 0, "integer": 0}
+        real_continuous, real_integer = certify_mod.max_loss_continuous, certify_mod.max_loss_integer
+
+        def continuous(*args, **kwargs):
+            calls["continuous"] += 1
+            return real_continuous(*args, **kwargs)
+
+        def integer(*args, **kwargs):
+            assert calls["continuous"] == 9, "rounded before the learner finished"
+            calls["integer"] += 1
+            return real_integer(*args, **kwargs)
+
+        monkeypatch.setattr(certify_mod, "max_loss_continuous", continuous)
+        monkeypatch.setattr(certify_mod, "max_loss_integer", integer)
+        cert = certify_fixed(ds, F, eps=0.1, rho=1.0, seed=4, rounding_budget=50)
+        assert cert.n_steps == 8
+        assert calls == {"continuous": 9, "integer": 8}
+
+    @pytest.mark.parametrize("rounding_budget", [0, 2.5])
+    def test_invalid_rounding_budget_raises(self, rounding_budget):
+        ds, F = self.make_integer_instance()
+        with pytest.raises(ValueError, match="budget"):
+            certify_fixed(ds, F, eps=0.1, rho=1.0, rounding_budget=rounding_budget)
+
     def test_integer_deterministic(self):
         ds, F = self.make_integer_instance()
         a = certify_fixed(ds, F, eps=0.1, rho=1.0, seed=4, rounding_budget=100)
@@ -306,14 +334,42 @@ def test_failed_final_objective_reuses_last_u_pre(monkeypatch):
 @pytest.mark.parametrize(
     "certify, kind", [(certify_fixed, "oracle"), (certify_data_dependent, "data-dependent")]
 )
-@pytest.mark.parametrize("case", ["negative-eps", "dimension-mismatch", "no-attack-budget"])
-def test_entry_points_reject_bad_input(certify, kind, case):
+@pytest.mark.parametrize(
+    "case", ["negative-eps", "dimension-mismatch", "no-attack-budget", "steps-0", "steps-negative", "steps-fraction"]
+)
+def test_entry_points_reject_bad_input(certify, kind, case, monkeypatch):
     ds, F = gaussian_fixture(n=20, kind=kind)
-    eps = {"negative-eps": -0.1, "dimension-mismatch": 0.5, "no-attack-budget": 0.01}[case]
+    eps = {"negative-eps": -0.1, "dimension-mismatch": 0.5, "no-attack-budget": 0.01}.get(case, 0.5)
     if case == "dimension-mismatch":
         ds = Dataset(np.hstack([ds.X, ds.X[:, :1]]), ds.y)
-    with pytest.raises(ValueError):
-        certify(ds, F, eps=eps, rho=1.0)
+    steps = {"steps-0": 0, "steps-negative": -1, "steps-fraction": 2.5}.get(case)
+    # Rejected before the first oracle call.
+    calls = []
+    monkeypatch.setattr(certify_mod, "max_loss_continuous", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(certify_mod.sdp_mod, "max_loss_data_dependent", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="steps" if steps is not None else None):
+        certify(ds, F, eps=eps, rho=1.0, steps=steps)
+    assert not calls
+
+
+def test_fixed_rejects_lower_bound_above_upper(monkeypatch):
+    score = certify_mod._score
+
+    def raised(*args, **kwargs):
+        scored = score(*args, **kwargs)
+        return {**scored, "lower_bound": scored["lower_bound"] + 1.0}
+
+    monkeypatch.setattr(certify_mod, "_score", raised)
+    ds, F = gaussian_fixture(n=200, seed=2)
+    with pytest.raises(CertificationError, match="exceeds upper bound"):
+        certify_fixed(ds, F, eps=0.1, rho=2.0, seed=0)
+
+
+def test_fixed_rejects_gap_above_regret_bound(monkeypatch):
+    monkeypatch.setattr(certify_mod, "regret_bound_trace", lambda grad_norms, *rest: np.zeros(len(grad_norms)))
+    ds, F = gaussian_fixture(n=200, seed=2)
+    with pytest.raises(CertificationError, match="exceeds regret bound"):
+        certify_fixed(ds, F, eps=0.1, rho=2.0, seed=0)
 
 
 def test_certificate_json_round_trip_fields():

@@ -376,3 +376,33 @@ def test_config_value_of_wrong_type_is_error(user, tmp_path, capsys):
     assert main(["certify", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "command, user, message",
+    [
+        ("certify", {"eps": []}, "non-empty"),
+        ("attack", {"eps": []}, "non-empty"),
+        ("certify", {"jobs": 0}, "jobs"),
+        ("certify", {"defense": {"kind": "bogus"}}, "defense kind"),
+        ("certify", {"rho": 0}, "rho"),
+        ("certify", {"dataset": {"kind": "bogus"}}, "dataset kind"),
+        ("gen-data", {"dataset": {"kind": "file", "train": "train.csv"}}, "gaussian"),
+        ("attack", {"attack": {"kind": "bogus"}}, "attack kind"),
+        ("certify", "{not json", "not valid JSON"),
+        ("certify", None, "cannot read config"),
+    ],
+    ids=[
+        "certify-eps-empty", "attack-eps-empty", "jobs-zero", "defense-kind", "rho-zero", "dataset-kind",
+        "gen-data-file", "attack-kind", "invalid-json", "unreadable",
+    ],
+)
+def test_invalid_config_is_error(command, user, message, tmp_path, capsys):
+    # Rejected before the out directory is made.
+    path = tmp_path / "config.json"
+    if user is not None:
+        path.write_text(user if isinstance(user, str) else json.dumps(user))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and message in err["message"]
+    assert not (tmp_path / "x").exists()

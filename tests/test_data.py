@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -66,6 +67,7 @@ class TestFormats:
             ("1", "row has no features"),
             ("1,infinity", "non-finite feature value"),
             ("1,-NaN", "non-finite feature value"),
+            ("abc,1.0", "unreadable label 'abc'"),
         ],
     )
     def test_dense_row_errors(self, tmp_path, row, message):
@@ -96,6 +98,37 @@ class TestFormats:
             load_dataset(p, "sparse-text")
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("#x=3\n1 0:1\n", 1, "first header must be '#d=<int>'"),
+            ("\n#d=abc\n1 0:1\n", 2, "bad dimension header '#d=abc'"),
+            ("#d=0\n1 0:1\n", 1, "dimension must be positive"),
+            ("#d=3\n1 0:1\n-1 0-2\n", 3, "bad entry '0-2'"),
+            ("#d=3\n1 0:1 2:1 0:2\n", 2, "duplicate index 0"),
+        ],
+        ids=["header-not-d", "header-not-int", "header-zero", "bad-entry", "duplicate-index"],
+    )
+    def test_sparse_line_errors(self, tmp_path, text, line_no, message):
+        p = write(tmp_path, "bad.txt", text)
+        with pytest.raises(ParseError, match=f":{line_no}: {message}$") as exc:
+            load_dataset(p, "sparse-text")
+        assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "fmt, text", [("dense-csv", ""), ("dense-csv", "# only a comment\n\n"), ("sparse-text", "#d=3\n# comment\n")]
+    )
+    def test_file_without_rows(self, tmp_path, fmt, text):
+        p = write(tmp_path, "empty", text)
+        with pytest.raises(ParseError, match=":0: file contains no data rows$"):
+            load_dataset(p, fmt)
+
+    def test_sparse_comments_after_header_skipped(self, tmp_path):
+        p = write(tmp_path, "s.txt", "#d=3\n# a comment\n\n1 0:2\n#d=9\n-1 2:1\n")
+        ds = load_dataset(p, "sparse-text")
+        assert ds.d == 3 and ds.y.tolist() == [1, -1]
+        assert ds.X.tolist() == [[2.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
     def test_sparse_index_out_of_range(self, tmp_path):
         p = write(tmp_path, "bad.txt", "#d=3\n1 3:1\n")
         with pytest.raises(ParseError, match="out of range"):
@@ -115,6 +148,20 @@ class TestFormats:
         back = load_dataset(p, fmt)
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.y, ds.y)
+
+    def test_save_over_existing_file_is_atomic(self, tmp_path, monkeypatch):
+        # A write that fails before its rename leaves the old file whole and
+        # no temp file behind.
+        p = write(tmp_path, "d.csv", "1,0.5\n")
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            save_dataset(Dataset(np.eye(2), np.array([1, -1])), p, "dense-csv")
+        assert p.read_text(encoding="utf-8") == "1,0.5\n"
+        assert os.listdir(tmp_path) == ["d.csv"]
 
     def test_sparse_save_rejects_noninteger(self, tmp_path):
         ds = Dataset(np.array([[0.5, 1.0]]), np.array([1]))
