@@ -367,6 +367,8 @@ def certify_fixed(
     """
     if F.is_data_dependent:
         raise ValueError("certify_fixed requires an oracle (fixed) feasible set")
+    if F.integer_features and (not isinstance(rounding_budget, numbers.Integral) or rounding_budget < 1):
+        raise ValueError(f"rounding_budget must be an integer >= 1, got {rounding_budget!r}")
     params = F.params
 
     def weighted(attack):

@@ -154,8 +154,9 @@ def _validate(cfg):
     for e in cfg["eps"]:
         if not _fits(e, 0.0) or not 0 <= e <= 1:
             raise ConfigError(f"eps value {e!r} is not a number in [0, 1]")
-    if cfg["jobs"] < 1:
-        raise ConfigError(f"jobs must be at least 1, got {cfg['jobs']!r}")
+    for key in ("jobs", "rounding_budget", "sdp_samples"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]!r}")
     if cfg["attack"]["kind"] not in ("label-flip", "gradient", "certificate"):
         raise ConfigError(f"unknown attack kind {cfg['attack']['kind']!r}")
     if not cfg["seeds"] or not all(_fits(seed, 0) for seed in cfg["seeds"]):

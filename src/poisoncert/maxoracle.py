@@ -128,8 +128,8 @@ def _round_candidates(rng, x_star, budget):
     return base + (draws < frac)
 
 
-# Rows of one repair walk. The walk takes all ~1,000 roundings of a class;
-# blocks keep its temporaries small: one unblocked walk over ~800 of them
+# Most rows in the repair walk's window, and so in any of its temporaries.
+# The walk takes all ~1,000 roundings of a class; walking ~800 of them at once
 # read 2.6 MB more peak RSS.
 _REPAIR_CHUNK = 128
 
@@ -137,7 +137,8 @@ _REPAIR_CHUNK = 128
 def _repair_integer(X, params, y, cap=None, max_steps=200):
     """Walk every row of X toward mu_y, one unit move per step, until it
     passes the class's sphere and slab; returns the walked rows and a mask of
-    the rows that pass. Rows that already pass do not move.
+    the rows that pass. Rows that already pass do not move; a row that fails
+    comes back as given.
 
     Each step measures the rows with the defense's own `_slacks`, so the
     walk's sphere/slab verdict is `membership_mask`'s. A row still
@@ -146,43 +147,60 @@ def _repair_integer(X, params, y, cap=None, max_steps=200):
     ties in row-wise `np.argsort` order), passing over moves that would leave
     [0, cap] (cap None: no upper bound). A row fails when the next coordinate
     in that order contributes nothing or lies within 0.5 of mu_y, when no
-    coordinate can move, or after `max_steps` moves.
+    coordinate can move, or after `max_steps` moves (the last one unchecked).
+
+    The rows walk through a window of at most `_REPAIR_CHUNK` rows, each with
+    its own move count: a row leaves when it passes or fails, and the next
+    row of X takes its place. A row's walk reads only that row, so where and
+    when it enters the window does not change its outcome.
     """
     mu, v = params.mu(y), params.centroid_vec(y)
     hi = np.full(params.d, np.inf) if cap is None else cap
     out = np.array(X, dtype=float)
     ok = np.zeros(out.shape[0], dtype=bool)
-    for start in range(0, out.shape[0], _REPAIR_CHUNK):
-        rows = np.arange(start, min(start + _REPAIR_CHUNK, out.shape[0]))
-        x = out[rows]
-        for _ in range(max_steps):
-            sphere, slab, proj = _slacks(params, x, y)
-            fit = (sphere <= MEMBERSHIP_ATOL) & (slab <= MEMBERSHIP_ATOL)
-            out[rows[fit]] = x[fit]
-            ok[rows[fit]] = True
-            D = x - mu
-            # Positive slab terms push the violation.
-            push = np.sign(proj)[:, None] * D * v
-            C = np.where((sphere >= slab)[:, None], D**2, np.where(push > 0, push, 0.0))
-            order = np.argsort(-C, axis=1)
-            i, j = np.arange(len(rows)), order[:, 0]
-            moved = ~fit & (C[i, j] > 0) & (np.abs(D[i, j]) >= 0.5)
-            new = x[i, j] - np.sign(D[i, j])
-            inside = (new >= 0) & (new <= hi[j])
-            # Rare: the first move leaves [0, cap]; look further along the row.
-            for k in np.flatnonzero(moved & ~inside):
-                moved[k] = False
-                for jk in order[k, 1:]:
-                    if C[k, jk] <= 0 or abs(D[k, jk]) < 0.5:
-                        break
-                    val = x[k, jk] - np.sign(D[k, jk])
-                    if 0 <= val <= hi[jk]:
-                        moved[k], j[k], new[k] = True, jk, val
-                        break
-            x[i[moved], j[moved]] = new[moved]
-            x, rows = x[moved], rows[moved]
-            if not len(rows):
-                break
+    n = out.shape[0] if max_steps >= 1 else 0
+    drawn = min(_REPAIR_CHUNK, n)
+    rows, x, moves = np.arange(drawn), out[:drawn].copy(), np.zeros(drawn, dtype=int)
+    while len(rows):
+        sphere, slab, proj = _slacks(params, x, y)
+        fit = (sphere <= MEMBERSHIP_ATOL) & (slab <= MEMBERSHIP_ATOL)
+        done = rows[fit]
+        out[done], ok[done] = x[fit], True
+        # The move choice, for the rows still outside.
+        w = np.flatnonzero(~fit)
+        D = x[w] - mu
+        # Positive slab terms push the violation.
+        push = np.sign(proj[w])[:, None] * D * v
+        C = np.where((sphere[w] >= slab[w])[:, None], D**2, np.where(push > 0, push, 0.0))
+        order = np.argsort(-C, axis=1)
+        i, j = np.arange(len(w)), order[:, 0]
+        Dj = D[i, j]
+        moved = (C[i, j] > 0) & (np.abs(Dj) >= 0.5)
+        new = x[w, j] - np.sign(Dj)
+        inside = (new >= 0) & (new <= hi[j])
+        # Rare: the first move leaves [0, cap]; look further along the row.
+        for k in np.flatnonzero(moved & ~inside):
+            moved[k] = False
+            for jk in order[k, 1:]:
+                if C[k, jk] <= 0 or abs(D[k, jk]) < 0.5:
+                    break
+                val = x[w[k], jk] - np.sign(D[k, jk])
+                if 0 <= val <= hi[jk]:
+                    moved[k], j[k], new[k] = True, jk, val
+                    break
+        w = w[moved]
+        x[w, j[moved]] = new[moved]
+        moves[w] += 1
+        stay = np.zeros(len(rows), dtype=bool)
+        stay[w[moves[w] < max_steps]] = True
+        if drawn < n:
+            # The next rows of X take the freed places.
+            free = np.flatnonzero(~stay)[: n - drawn]
+            entering = np.arange(drawn, drawn + len(free))
+            x[free], rows[free], moves[free], stay[free] = out[entering], entering, 0, True
+            drawn += len(free)
+        if not stay.all():
+            rows, x, moves = rows[stay], x[stay], moves[stay]
     return out, ok
 
 
@@ -203,10 +221,12 @@ def max_loss_integer(
     and `budget` roundings of it are drawn, each coordinate rounded down or
     up with probability equal to its fractional part, so every candidate is
     a non-negative integer point under the cap. All candidates take one
-    batched repair walk, which leaves the passing ones where they are and
-    moves the others toward the class centroid by unit steps that never
-    leave [0, floor(coord_cap)]; the walk's sphere/slab test is the
-    defense's own. Each class's row is its passing candidate of highest
+    repair walk, which leaves the passing ones where they are and moves
+    the others toward the class centroid by unit steps that never leave
+    [0, floor(coord_cap)]; the walk's sphere/slab test is the defense's
+    own, and it measures the candidates a window of at most
+    `_REPAIR_CHUNK` at a time, a new one entering as each one passes or
+    fails. Each class's row is its passing candidate of highest
     hinge loss (the first one on ties); no_candidate is True when neither
     class found one.
     """

@@ -192,10 +192,14 @@ class TestCertifyInteger:
         assert calls == {"continuous": 9, "integer": 8}
 
     @pytest.mark.parametrize("rounding_budget", [0, 2.5])
-    def test_invalid_rounding_budget_raises(self, rounding_budget):
+    def test_invalid_rounding_budget_raises(self, monkeypatch, rounding_budget):
+        # Checked before the first learner step, not at assembly.
         ds, F = self.make_integer_instance()
-        with pytest.raises(ValueError, match="budget"):
+        calls = []
+        monkeypatch.setattr(certify_mod, "max_loss_continuous", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="rounding_budget"):
             certify_fixed(ds, F, eps=0.1, rho=1.0, rounding_budget=rounding_budget)
+        assert not calls
 
     def test_integer_deterministic(self):
         ds, F = self.make_integer_instance()

@@ -384,6 +384,10 @@ def test_config_value_of_wrong_type_is_error(user, tmp_path, capsys):
         ("certify", {"eps": []}, "non-empty"),
         ("attack", {"eps": []}, "non-empty"),
         ("certify", {"jobs": 0}, "jobs"),
+        ("certify", {"defense": {"integer_features": True}, "rounding_budget": 0}, "rounding_budget"),
+        ("certify", {"defense": {"integer_features": True}, "rounding_budget": 2.5}, "rounding_budget"),
+        ("certify", {"defense": {"kind": "data-dependent"}, "sdp_samples": 0}, "sdp_samples"),
+        ("certify", {"defense": {"kind": "data-dependent"}, "sdp_samples": 2.5}, "sdp_samples"),
         ("certify", {"defense": {"kind": "bogus"}}, "defense kind"),
         ("certify", {"rho": 0}, "rho"),
         ("certify", {"dataset": {"kind": "bogus"}}, "dataset kind"),
@@ -393,7 +397,8 @@ def test_config_value_of_wrong_type_is_error(user, tmp_path, capsys):
         ("certify", None, "cannot read config"),
     ],
     ids=[
-        "certify-eps-empty", "attack-eps-empty", "jobs-zero", "defense-kind", "rho-zero", "dataset-kind",
+        "certify-eps-empty", "attack-eps-empty", "jobs-zero", "rounding-budget-zero", "rounding-budget-float",
+        "sdp-samples-zero", "sdp-samples-float", "defense-kind", "rho-zero", "dataset-kind",
         "gen-data-file", "attack-kind", "invalid-json", "unreadable",
     ],
 )

@@ -9,7 +9,8 @@ from poisoncert import (
     max_loss_continuous,
     max_loss_integer,
 )
-from poisoncert.maxoracle import LABELS, _repair_integer
+import poisoncert.maxoracle as maxoracle
+from poisoncert.maxoracle import _REPAIR_CHUNK, LABELS, _repair_integer
 
 from oracles import (
     enumerate_integer_max,
@@ -347,6 +348,23 @@ class TestInteger:
         assert np.array_equal(res[2.5].losses, res[2.0].losses)
         assert res[2.5].losses[1] == pytest.approx(3.0)
 
+    def test_walk_window_stays_bounded(self, monkeypatch):
+        # The repair walk measures at most one window of rows at a time, and
+        # with 1,000 roundings per class its window fills.
+        sizes = []
+
+        def measured(params, X, label):
+            sizes.append(len(X))
+            return slacks(params, X, label)
+
+        slacks = maxoracle._slacks
+        monkeypatch.setattr(maxoracle, "_slacks", measured)
+        p = integer_params(np.random.default_rng(3), 5)
+        params = SphereSlabParams(p.mu_plus, p.mu_minus, 0.5 * p.r_plus, 0.5 * p.r_minus, p.s_plus, p.s_minus)
+        model = LinearModel(np.array([1.0, -2.0, 0.5, 3.0, -1.0]), 10.0)
+        max_loss_integer(params, model, budget=1000, seed=0)
+        assert max(sizes) == _REPAIR_CHUNK
+
     @pytest.mark.parametrize(
         "kwargs, name",
         [
@@ -438,6 +456,22 @@ class TestRepairWalk:
         if walked is not None:
             assert np.array_equal(R[0], walked)
             assert not _repair_integer(X, params, 1, cap, max_steps=1)[1][0]
+
+    def test_rows_enter_window_as_others_leave(self):
+        # More rows than the window, with walks from 0 moves to far past 200
+        # (rows up to ~400 from the centroids), so rows leave and enter the
+        # window out of order.
+        rng = np.random.default_rng(11)
+        n, d = 3 * _REPAIR_CHUNK + 17, 3
+        params = SphereSlabParams(np.full(d, 2.3), np.full(d, 1.7), 1.5, 1.5, 2.0, 2.0)
+        X = np.floor(rng.uniform(0.0, 1.0, (n, d)) * 10.0 ** rng.uniform(0.5, 2.6, (n, 1)))
+        for max_steps in (1, 4, 200):
+            self.check_rows(X, params, None, max_steps)
+        R, ok = _repair_integer(X, params, 1)
+        moves = np.abs(R - X).sum(axis=1)
+        assert (ok & (moves == 0)).any() and (ok & (moves > 100)).any()
+        # Rows that use up their moves come back as given.
+        assert (~ok).any() and np.array_equal(R[~ok], X[~ok])
 
     def test_empty_input(self):
         params = SphereSlabParams(np.ones(3), np.zeros(3), 1.0, 1.0, 1.0, 1.0)

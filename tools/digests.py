@@ -5,17 +5,17 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tools/digests.py > digests.txt
 
-and diff the files written on two checkouts: 58 digests, 19 certificates,
-one data-dependent oracle result and 38 CLI output files. The script calls
-only `certify_fixed`, `certify_data_dependent`, `max_loss_data_dependent`
-and `cli.main` with options both sides accept, so the same file runs on
-either. The CLI runs work inside a temporary directory
-and name their file datasets by relative paths, so no config hash carries
-that directory's name. Two data-dependent runs
-replace `certify.sdp_mod.max_loss_data_dependent` for their duration with a
-wrapper that fails one chosen call, so the skipped-step records are hashed
-too. BLAS is held to one thread (set before numpy loads), since threaded
-reductions need not repeat bit for bit.
+and diff the files written on two checkouts: 59 digests, 19 certificates,
+one data-dependent and one integer oracle result and 38 CLI output files.
+The script calls only `certify_fixed`, `certify_data_dependent`,
+`max_loss_data_dependent`, `max_loss_integer` and `cli.main` with options
+both sides accept, so the same file runs on either. The CLI runs work
+inside a temporary directory and name their file datasets by relative
+paths, so no config hash carries that directory's name. Two data-dependent
+runs replace `certify.sdp_mod.max_loss_data_dependent` for their duration
+with a wrapper that fails one chosen call, so the skipped-step records are
+hashed too. BLAS is held to one thread (set before numpy loads), since
+threaded reductions need not repeat bit for bit.
 """
 
 import os
@@ -24,6 +24,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -132,10 +133,18 @@ def library_runs():
 
 
 def oracle_runs():
-    """(name, JSON document) for direct oracle calls: one data-dependent
-    call on d = 3 Gaussian data with five Dirichlet draws and the four
-    corner supports, so its draws have 16, 13 and 14 inequality rows; every
-    draw reaches a verdict within the default 100 iterations."""
+    """(name, JSON document) for direct oracle calls.
+
+    One data-dependent call on d = 3 Gaussian data with five Dirichlet draws
+    and the four corner supports, so its draws have 16, 13 and 14 inequality
+    rows; every draw reaches a verdict within the default 100 iterations.
+
+    One integer call on the `_counts_d50` data whose repair walks take the
+    rare paths: every fifth word is capped at 0, below both centroids, so
+    walks detour around moves above the cap, and the centroids are rounded
+    to half-integers with the keep-0.13 thresholds, so every class +1 walk
+    swings one word between the two integers 0.5 from its centroid until it
+    has used up its moves, while class -1 walks pass."""
     ds, F = _gaussian(3, 200, 0, kind="data-dependent")
     stats, eps = pc.class_stats(ds), 0.2
     model = pc.train_erm(ds, 2.0).model
@@ -154,6 +163,15 @@ def oracle_runs():
         "y": sol.y.tolist(),
         "G_opt": sol.G_opt.tolist(),
     }
+    ds = _counts_d50()[0]
+    stats = pc.class_stats(ds)
+    params = pc.calibrate_thresholds(ds, stats, 0.13)
+    params = dataclasses.replace(
+        params, mu_plus=np.round(stats.mu_plus * 2) / 2, mu_minus=np.round(stats.mu_minus * 2) / 2
+    )
+    cap = np.where(np.arange(ds.d) % 5 == 0, 0.0, ds.X.max(axis=0))
+    res = pc.max_loss_integer(params, pc.train_erm(ds, 2.0).model, 1000, 0, coord_cap=cap)
+    yield "oracle_integer_walk", {"X": res.X.tolist(), "losses": res.losses.tolist()}
 
 
 def _write_config(path, cfg):
