@@ -447,9 +447,10 @@ def certify_data_dependent(
     steps are skipped. Afterwards the `eval_steps` most promising stored
     distributions each spawn `attack_samples` sampled multisets of
     floor(eps*n) points; the multiset with the largest retrained training
-    loss becomes the reported attack. No duality assertion is made: the
-    constraint set is non-convex. The SDP support has no rounding step, so a
-    defense with `integer_features` is rejected.
+    loss becomes the reported attack, and a multiset drawn again reuses its
+    first retraining. No duality assertion is made: the constraint set is
+    non-convex. The SDP support has no rounding step, so a defense with
+    `integer_features` is rejected.
     """
     if not F.is_data_dependent:
         raise ValueError("certify_data_dependent requires a data-dependent feasible set")
@@ -478,13 +479,17 @@ def certify_data_dependent(
     def assemble(live, attack_size, rng):
         # Candidate attacks: sample multisets from the strongest distributions.
         strongest = [step.result for step in sorted(live, key=lambda step: -step.value)[:eval_steps]]
+        scores = {}  # one retraining per distinct attack
 
         def candidates():
             for res in strongest:
                 for _ in range(attack_samples):
                     counts = rng.multinomial(attack_size, res.masses / res.masses.sum())
                     attack = Dataset(np.repeat(res.points, counts, axis=0), np.repeat(res.labels, counts).astype(int))
-                    yield {**_score(D_c, attack, rho), "attack": attack, "attack_masses": res.masses}
+                    key = attack.X.tobytes() + attack.y.tobytes()
+                    if key not in scores:
+                        scores[key] = _score(D_c, attack, rho)
+                    yield {**scores[key], "attack": attack, "attack_masses": res.masses}
 
         # max keeps the first of equal lower bounds.
         best = max(candidates(), key=lambda scored: scored["lower_bound"])

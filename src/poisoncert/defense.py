@@ -97,20 +97,20 @@ class FeasibleSet:
 
 
 def _measure(mu, v, X):
-    """Each row's distance to mu and the signed projection of x - mu on v."""
+    """Per row of X: its distance to mu, the signed projection of x - mu on v, and x - mu."""
     diff = X - mu
-    return np.linalg.norm(diff, axis=1), diff @ v
+    return np.linalg.norm(diff, axis=1), diff @ v, diff
 
 
 def _slacks(params: SphereSlabParams, X, label):
-    """(sphere, slab, proj) per row of X against the class-`label` constraints:
-    each slack is value - threshold, <= 0 feasible and -inf when the
-    constraint is disabled; proj is the signed slab projection."""
-    dist, proj = _measure(params.mu(label), params.centroid_vec(label), X)
+    """(sphere, slab, proj, diff) per row of X against the class-`label`
+    constraints: each slack is value - threshold, <= 0 feasible and -inf when
+    the constraint is disabled; proj is the slab projection of diff = x - mu."""
+    dist, proj, diff = _measure(params.mu(label), params.centroid_vec(label), X)
     off = np.full(len(proj), -np.inf)
     sphere = dist - params.r(label) if params.use_sphere else off
     slab = np.abs(proj) - params.s(label) if params.use_slab else off
-    return sphere, slab, proj
+    return sphere, slab, proj, diff
 
 
 def membership_mask(F: FeasibleSet, ds: Dataset, atol: float = MEMBERSHIP_ATOL) -> np.ndarray:
@@ -131,7 +131,7 @@ def membership_mask(F: FeasibleSet, ds: Dataset, atol: float = MEMBERSHIP_ATOL) 
             continue
         # A single-label batch is used as is.
         X = ds.X if mask.all() else ds.X[mask]
-        sphere, slab, _ = _slacks(F.params, X, label)
+        sphere, slab, _, _ = _slacks(F.params, X, label)
         ok[mask] &= (sphere <= atol) & (slab <= atol)
     return ok
 
@@ -157,7 +157,7 @@ def calibrate_thresholds(
         mask = ds.y == label
         if not mask.any():
             raise StatsError(f"class {label} is empty")
-        dist, proj = _measure(stats.mu(label), v if label == 1 else -v, ds.X[mask])
+        dist, proj, _ = _measure(stats.mu(label), v if label == 1 else -v, ds.X[mask])
         k = math.ceil(keep_fraction * mask.sum())
         radii[label] = float(np.sort(dist)[k - 1])
         widths[label] = float(np.sort(np.abs(proj))[k - 1])

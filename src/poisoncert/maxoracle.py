@@ -154,7 +154,7 @@ def _repair_integer(X, params, y, cap=None, max_steps=200):
     row of X takes its place. A row's walk reads only that row, so where and
     when it enters the window does not change its outcome.
     """
-    mu, v = params.mu(y), params.centroid_vec(y)
+    v = params.centroid_vec(y)
     hi = np.full(params.d, np.inf) if cap is None else cap
     out = np.array(X, dtype=float)
     ok = np.zeros(out.shape[0], dtype=bool)
@@ -162,13 +162,13 @@ def _repair_integer(X, params, y, cap=None, max_steps=200):
     drawn = min(_REPAIR_CHUNK, n)
     rows, x, moves = np.arange(drawn), out[:drawn].copy(), np.zeros(drawn, dtype=int)
     while len(rows):
-        sphere, slab, proj = _slacks(params, x, y)
+        sphere, slab, proj, diff = _slacks(params, x, y)
         fit = (sphere <= MEMBERSHIP_ATOL) & (slab <= MEMBERSHIP_ATOL)
         done = rows[fit]
         out[done], ok[done] = x[fit], True
         # The move choice, for the rows still outside.
         w = np.flatnonzero(~fit)
-        D = x[w] - mu
+        D = diff[w]
         # Positive slab terms push the violation.
         push = np.sign(proj[w])[:, None] * D * v
         C = np.where((sphere[w] >= slab[w])[:, None], D**2, np.where(push > 0, push, 0.0))

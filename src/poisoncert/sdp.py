@@ -12,9 +12,11 @@ dense primal-dual interior-point method on the face of the PSD cone that the
 known vectors' Gram matrix fixes, checks each verdict with a dual bound or a
 Farkas ray, recovers attack vectors from the optimal Gram matrix, and searches
 the weight simplex by Monte Carlo. The draws of one oracle call share that
-face and their equality rows, so they run as one interior-point method on
-stacked iterates; a per-draw done mask ends each draw at its own verdict, and
-iteration counts are per draw.
+face and their equality rows, so one vectorized pass builds their programs
+and they run as one interior-point method on stacked iterates; a per-draw
+done mask ends each draw at its own verdict, and iteration counts are per
+draw. A batched eigenvalue screen keeps the exact Farkas-ray test for draws
+that can pass it.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ def _corner_weights(eps):
 _GAP = 1e-7
 _EIG_TOL = 1e-12
 _STEP = 0.95
+_RAY_SCREEN = 1e-9  # 1000 times _EIG_TOL: the Farkas-ray screen skips only draws `_is_ray` rejects
 
 # recover_vectors: most negative eigenvalue (relative to the matrix's scale)
 # still read as solver noise rather than a matrix that is not a Gram matrix.
@@ -85,7 +88,7 @@ class SdpOracleError(RuntimeError):
 
 def _sym(M):
     """Symmetric part of a matrix or of each matrix in a stack."""
-    return (M + np.swapaxes(M, -1, -2)) / 2.0
+    return (M + M.swapaxes(-1, -2)) / 2.0
 
 
 def _psd_project(S: np.ndarray) -> np.ndarray:
@@ -169,68 +172,63 @@ def build_gram_program(
     q_y = p_y + pi_{a,y} + pi_{b,y}, so every sphere/slab constraint is a
     quadratic form in the seven vectors, i.e. linear in G. On-margin points
     carry the objective mass (their hinge is 1 - y<theta, x>); off-margin
-    points are constrained to the zero-loss side.
+    points are constrained to the zero-loss side. This is `_gram_programs`
+    for one draw.
     """
-    n = 7
+    if np.shape(w) != (4,):
+        raise ValueError("attack weights must be 4 non-negative masses")
+    return _gram_programs(stats, model, F, [w])[0]
+
+
+def _gram_programs(stats, model, F, W):
+    """`build_gram_program` for each row of the (K, 4) weights W in one pass
+    over stacked arrays; the programs share their equality and known arrays."""
     mu_p, mu_m, th = stats.mu_plus, stats.mu_minus, model.theta
     if not (mu_p.shape == mu_m.shape == th.shape):
         raise ValueError("centroid/model dimension mismatch")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (4,) or (w < 0).any():
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != 4 or (W < 0).any():
         raise ValueError("attack weights must be 4 non-negative masses")
-
-    q = {1: stats.p_plus + w[A_PLUS] + w[B_PLUS], -1: stats.p_minus + w[A_MINUS] + w[B_MINUS]}
-    for label in (1, -1):
-        if q[label] <= 0:
+    q = np.stack([stats.p_plus + W[:, A_PLUS] + W[:, B_PLUS], stats.p_minus + W[:, A_MINUS] + W[:, B_MINUS]], 1)
+    for j, label in enumerate((1, -1)):
+        if (q[:, j] <= 0).any():
             raise ValueError(f"zero total mass for class {label}")
 
-    e = np.eye(n)
-    # Coefficient vectors of mu_hat_y in the 7-vector basis.
-    w_hat = {
-        1: (w[A_PLUS] * e[A_PLUS] + w[B_PLUS] * e[B_PLUS] + stats.p_plus * e[MU_PLUS]) / q[1],
-        -1: (w[A_MINUS] * e[A_MINUS] + w[B_MINUS] * e[B_MINUS] + stats.p_minus * e[MU_MINUS]) / q[-1],
-    }
+    n, e = 7, np.eye(7)
+    theta_x = [_sym(np.outer(e[THETA], e[i])) for i in (A_PLUS, A_MINUS, B_PLUS, B_MINUS)]
+    # Coefficient vectors of mu_hat_+ and mu_hat_- in the 7-vector basis.
+    w_hat = np.zeros((len(W), 2, n))
+    w_hat[:, 0, [A_PLUS, B_PLUS]], w_hat[:, 0, MU_PLUS] = W[:, [A_PLUS, B_PLUS]], stats.p_plus
+    w_hat[:, 1, [A_MINUS, B_MINUS]], w_hat[:, 1, MU_MINUS] = W[:, [A_MINUS, B_MINUS]], stats.p_minus
+    w_hat /= q[..., None]
 
     known = (mu_p, mu_m, th)
     known_gram = np.array([[a @ b for b in known] for a in known])
     iu = np.triu_indices(3)
-    eq_mats = [_sym(np.outer(e[MU_PLUS + i], e[MU_PLUS + j])) for i, j in zip(*iu)]
+    eq_mats = np.array([_sym(np.outer(e[MU_PLUS + i], e[MU_PLUS + j])) for i, j in zip(*iu)])
 
-    ineq_mats, ineq_rhs = [], []
-    for i, label, mass in zip((A_PLUS, A_MINUS, B_PLUS, B_MINUS), _ATTACK_LABELS, w):
-        u = e[i] - w_hat[label]
-        if F.use_sphere:
-            ineq_mats.append(_sym(np.outer(u, u)))
-            ineq_rhs.append(F.r(label) ** 2)
-        if F.use_slab:
-            M = _sym(np.outer(u, w_hat[label] - w_hat[-label]))
-            ineq_mats += [M, -M]
-            ineq_rhs += [F.s(label), F.s(label)]
-        # Margin side conditions bind only points that carry attack mass: a
-        # zero-mass point is a phantom whose placement must not restrict the
-        # program (with all masses zero the constraints reduce to the clean
-        # sphere/slab alone). On-margin a-points keep y<theta, x> <= 1 (loss
-        # stays active); off-margin b-points keep y<theta, x> >= 1 (loss
-        # stays zero).
-        if mass <= 0:
-            continue
-        side = 1.0 if i in (A_PLUS, A_MINUS) else -1.0
-        ineq_mats.append(side * label * _sym(np.outer(e[THETA], e[i])))
-        ineq_rhs.append(side)
+    # Per point (axis 1), the rows sphere, slab+, slab- and margin (axis 2).
+    own, other = w_hat[:, [0, 1, 0, 1]], w_hat[:, [1, 0, 1, 0]]
+    u = e[[A_PLUS, A_MINUS, B_PLUS, B_MINUS]] - own
+    slab = _sym(u[..., :, None] * (own - other)[..., None, :])
+    # On-margin a-points keep y<theta, x> <= 1 (loss stays active);
+    # off-margin b-points keep y<theta, x> >= 1 (loss stays zero).
+    side = (1.0, 1.0, -1.0, -1.0)
+    margin = np.array([sd * y * M for M, y, sd in zip(theta_x, _ATTACK_LABELS, side)])
+    mats = np.stack([_sym(u[..., :, None] * u[..., None, :]), slab, -slab, np.broadcast_to(margin, slab.shape)], 2)
+    rhs = np.array([[F.r(y) ** 2, F.s(y), F.s(y), sd] for y, sd in zip(_ATTACK_LABELS, side)])
+    # Margin side conditions bind only points that carry attack mass: a
+    # zero-mass point is a phantom whose placement must not restrict the
+    # program (with all masses zero the constraints reduce to the clean
+    # sphere/slab alone).
+    rows = np.stack(np.broadcast_arrays(F.use_sphere, F.use_slab, F.use_slab, W > 0), 2)
 
-    C = -w[A_PLUS] * _sym(np.outer(e[THETA], e[A_PLUS]))
-    C = C + w[A_MINUS] * _sym(np.outer(e[THETA], e[A_MINUS]))
-    const = w[A_PLUS] + w[A_MINUS]
-    return GramProgram(
-        size=n,
-        obj_const=const,
-        obj_coeff=C,
-        eq_mats=eq_mats,
-        eq_rhs=known_gram[iu],
-        ineq_mats=ineq_mats,
-        ineq_rhs=ineq_rhs,
-        known_gram=known_gram,
-    )
+    C = -W[:, A_PLUS, None, None] * theta_x[A_PLUS] + W[:, A_MINUS, None, None] * theta_x[A_MINUS]
+    const = W[:, A_PLUS] + W[:, A_MINUS]
+    return [
+        GramProgram(n, const[i], C[i], eq_mats, known_gram[iu], mats[i][rows[i]], rhs[rows[i]], known_gram)
+        for i in range(len(W))
+    ]
 
 
 def _residual_of(prog, G):
@@ -305,11 +303,11 @@ def _face(prog):
 
 
 def _max_step(Li, dX, v, dv):
-    """Per program of a stack, the largest a with X + a dX PSD and
-    v + a dv >= 0 (inf if there is none), shaped (K, 1, 1); Li is the
-    inverse of X's Cholesky factor."""
-    lam = np.linalg.eigvalsh(_sym(Li @ dX @ np.swapaxes(Li, 1, 2)))[:, :1]
-    lam = np.minimum(lam, np.min(dv / v, axis=1, initial=0.0, keepdims=True))
+    """Per program of a stack (or of a stack of stacks), the largest a with
+    X + a dX PSD and v + a dv >= 0 (inf if there is none), shaped (..., 1, 1);
+    Li is the inverse of X's Cholesky factor."""
+    lam = np.linalg.eigvalsh(_sym(Li @ dX @ np.swapaxes(Li, -1, -2)))[..., :1]
+    lam = np.minimum(lam, np.min(dv / v, axis=-1, initial=0.0, keepdims=True))
     return np.divide(-1.0, lam, out=np.full(lam.shape, math.inf), where=lam < 0)[..., None]
 
 
@@ -349,7 +347,9 @@ def _solve_batch(progs, tol=1e-9, max_iter=100):
     Draws with fewer inequality rows get padding rows after their real ones:
     zero in Af and q, with slack and multiplier fixed at 1. Each adds an
     identity row to its Schur system and has no share in mu, the step
-    lengths or the reported y.
+    lengths or the reported y. The candidates for a Farkas ray are screened
+    with one `eigvalsh` call per iteration, which only skips draws that
+    `_is_ray` would reject.
     """
     prog0, K = progs[0], len(progs)
     T, w = _face(prog0)
@@ -367,18 +367,21 @@ def _solve_batch(progs, tol=1e-9, max_iter=100):
             status, ray = ("infeasible", ray) if _is_ray(prog, ray, T) else ("max-iter", None)
             sols.append(SdpSolution(np.zeros((prog.size,) * 2), -math.inf, status, math.inf, 0, y=ray))
         return sols
-    k, m = len(sv), len(sv) + max(len(prog.ineq_rhs) for prog in progs)
-    Af, q, real, to_rows = np.zeros((K, m, p * p)), np.zeros((K, m)), np.zeros((K, m - k)), []
-    Af[:, :k], q[:, :k] = _flat(_sym(Vt.reshape(-1, p, p))), U.T @ prog0.eq_rhs / sv
+    k, n_in = len(sv), np.array([len(prog.ineq_rhs) for prog in progs])
+    m, real = k + n_in.max(), (np.arange(n_in.max()) < n_in[:, None]).astype(float)
+    B, rhs = np.zeros((K, m - k, prog0.size, prog0.size)), np.zeros((K, m - k))
     for i, prog in enumerate(progs):
-        n = len(prog.ineq_rhs)
-        B = T.T @ prog.ineq_mats @ T
-        nb = np.maximum(np.linalg.norm(_flat(B), axis=1), 1e-12)
-        Af[i, k : k + n], q[i, k : k + n], real[i, :n] = _flat(B / nb[:, None, None]), prog.ineq_rhs / nb, 1.0
-        # Reduced multipliers -> program rows.
-        to_rows.append(np.zeros((n_eq + n, m)))
-        to_rows[i][:n_eq, :k], to_rows[i][n_eq:, k : k + n] = U / sv, np.diag(1.0 / nb)
+        B[i, : n_in[i]], rhs[i, : n_in[i]] = prog.ineq_mats, prog.ineq_rhs
+    B = T.T @ B @ T
+    nb = np.maximum(np.linalg.norm(B.reshape(K, m - k, p * p), axis=2), 1e-12)
+    Af, q = np.zeros((K, m, p * p)), np.zeros((K, m))
+    Af[:, :k], q[:, :k] = _flat(_sym(Vt.reshape(-1, p, p))), U.T @ prog0.eq_rhs / sv
+    Af[:, k:], q[:, k:] = (B / nb[..., None, None]).reshape(K, m - k, p * p), rhs / nb
+    # Reduced multipliers -> program rows; draw i's are the first n_eq + n_in[i].
+    to_rows = np.zeros((K, n_eq + m - k, m))
+    to_rows[:, :n_eq, :k], to_rows[:, n_eq + np.arange(m - k), np.arange(k, m)] = U / sv, real / nb
     C = T.T @ np.stack([prog.obj_coeff for prog in progs]) @ T
+    C_norm, q_norm = np.linalg.norm(C, axis=(1, 2)), np.linalg.norm(q, axis=1)
 
     def gram(X):
         if r:
@@ -389,7 +392,7 @@ def _solve_batch(progs, tol=1e-9, max_iter=100):
         return _sym(T @ X @ T.T)
 
     xi = np.maximum(max(10.0, math.sqrt(p)), p * np.max(1.0 + np.abs(q), axis=1, keepdims=True))
-    zeta = np.maximum(max(10.0, math.sqrt(p)), np.linalg.norm(C, axis=(1, 2))[:, None])
+    zeta = np.maximum(max(10.0, math.sqrt(p)), C_norm[:, None])
     X, s, Z = xi[..., None] * np.eye(p), np.where(real > 0, xi, 1.0), zeta[..., None] * np.eye(p)
     y = np.concatenate([np.zeros((K, k)), np.where(real > 0, zeta, 1.0)], axis=1)
     best, best_X, best_y, iters = np.full(K, math.inf), X.copy(), y.copy(), np.zeros(K, dtype=int)
@@ -397,19 +400,28 @@ def _solve_batch(progs, tol=1e-9, max_iter=100):
     for it in range(1, max_iter + 1):
         rp = q - (Af @ X.reshape(K, p * p, 1))[..., 0]
         rp[:, k:] -= s * real
-        Rd = C - (y[:, None] @ Af).reshape(X.shape) + Z
+        yA = (y[:, None] @ Af).reshape(X.shape)
+        Rd = C - yA + Z
         pobj, dobj = np.sum(C * X, axis=(1, 2)), np.sum(q * y, axis=1)
         # Relative residuals and gap. The verdict goes to the best iterate:
         # on degenerate programs the primal residual grows again late.
         gap = np.abs(dobj - pobj) / (1 + np.abs(pobj))
-        res_p = np.linalg.norm(rp, axis=1) / (1 + np.linalg.norm(q, axis=1))
-        err = np.max([res_p, np.linalg.norm(Rd, axis=(1, 2)) / (1 + np.linalg.norm(C, axis=(1, 2))), gap], axis=0)
+        res_p = np.linalg.norm(rp, axis=1) / (1 + q_norm)
+        err = np.max([res_p, np.linalg.norm(Rd, axis=(1, 2)) / (1 + C_norm), gap], axis=0)
         up = run & (err < best)
         best[up], best_X[up], best_y[up], iters[run] = err[up], X[up], y[up], it
         run &= ~(err <= tol)  # a NaN error is no convergence
-        for i in np.flatnonzero(run & (dobj < 0)):
-            # The dual objective heads to -inf: try the dual direction as a ray.
-            ray = -(to_rows[i] @ y[i]) / np.linalg.norm(to_rows[i] @ y[i])
+        # The dual objective heads to -inf: try the dual direction as a ray.
+        # yA[i] is ||Y|| T^T(-combine(ray))T for Y = to_rows[i] @ y[i], so a
+        # draw whose yA is clearly not PSD fails `_is_ray` and is not tried.
+        c = np.flatnonzero(run & (dobj < 0))
+        if len(c):
+            ev = np.linalg.eigvalsh(_sym(yA[c]))
+            scale = np.maximum(np.linalg.norm(to_rows[c] @ y[c, :, None], axis=(1, 2)), np.abs(ev).max(axis=1))
+            c = c[~(ev[:, 0] < -_RAY_SCREEN * scale)]
+        for i in c:
+            Y = to_rows[i, : n_eq + n_in[i]] @ y[i]
+            ray = -Y / np.linalg.norm(Y)
             if _is_ray(progs[i], ray, T):
                 sols[i], run[i] = SdpSolution(gram(X[i]), -math.inf, "infeasible", math.inf, it, y=ray), False
         go = np.flatnonzero(run)
@@ -430,7 +442,7 @@ def _solve_batch(progs, tol=1e-9, max_iter=100):
     # if its evidence checks.
     for i, prog in enumerate(progs):
         if sols[i] is None:
-            G, dual = gram(best_X[i]), to_rows[i] @ best_y[i]
+            G, dual = gram(best_X[i]), to_rows[i, : n_eq + n_in[i]] @ best_y[i]
             objective, bound, residual = prog.objective_value(G), _dual_bound(prog, dual, T), _residual_of(prog, G)
             if residual <= _GAP and objective <= bound <= objective + _GAP:
                 sols[i] = SdpSolution(G, objective, "optimal", residual, int(iters[i]), bound, dual)
@@ -447,39 +459,40 @@ def _ipm_step(k, Af, real, X, s, y, Z, rp, Rd):
     double as the slacks' dual variables. `real` is 0 on padding rows (see
     `_solve_batch`), whose slack targets are 0, so their directions stay 0.
     """
-    p, yin = X.shape[-1], y[:, k:]
-    LXi, LZi = np.linalg.inv(np.linalg.cholesky(X)), np.linalg.inv(np.linalg.cholesky(Z))
-    Zi = np.swapaxes(LZi, 1, 2) @ LZi
+    p, yin, sy = X.shape[-1], y[:, k:], s / y[:, k:]
+    # One call factors X and Z: LAPACK takes each matrix of a stack alone.
+    L = np.linalg.inv(np.linalg.cholesky(np.array([X, Z])))
+    Zi = np.swapaxes(L[1], 1, 2) @ L[1]
     XAZ = (X[:, None] @ Af.reshape(*Af.shape[:2], p, p) @ Zi[:, None]).reshape(Af.shape)  # X A_i Z^-1, flat
     H = _sym(Af @ np.swapaxes(XAZ, 1, 2))
     d = np.arange(k, Af.shape[1])
-    H[:, d, d] += s / yin
+    H[:, d, d] += sy
     # H^-1 is applied as two triangular factors: their product H^-1 loses
     # accuracy on the ill-conditioned Schur systems of late iterations.
     Li = np.linalg.inv(np.linalg.cholesky(H))
     LiT = np.swapaxes(Li, 1, 2)
+    # At dy = 0, dZ = -Rd: the first refinement pass of both directions.
+    XRZ = X @ Rd @ Zi
 
     def direction(R, rs):
         # Newton step for A(X) + [0; s] = q, A^T y - Z = C and the
         # complementarity targets R (matrix, XZ-linearized) and rs (slacks).
         def rest(dy):
             dZ = (dy[:, None] @ Af).reshape(X.shape) - Rd
-            return _sym(R - X @ dZ @ Zi), rs - s / yin * dy[:, k:], dZ
+            return _sym(R - X @ dZ @ Zi), rs - sy * dy[:, k:], dZ
 
         # Iterative refinement from dy = 0: the Schur system ends ill-conditioned.
-        dy = np.zeros(rp.shape)
+        dy, dX, ds = np.zeros(rp.shape), _sym(R + XRZ), rs
         for _ in range(4):
-            dX, ds, _ = rest(dy)
             err = rp - (Af @ dX.reshape(len(X), p * p, 1))[..., 0]
             err[:, k:] -= ds
             dy = dy - (LiT @ (Li @ err[..., None]))[..., 0]
-        dX, ds, dZ = rest(dy)
+            dX, ds, dZ = rest(dy)
         return dX, ds, dy, dZ
 
     def steps(dX, ds, dy, dZ, frac):
         # Primal and dual step lengths, each shaped (K, 1, 1).
-        ap = np.minimum(1.0, frac * _max_step(LXi, dX, s, ds))
-        return ap, np.minimum(1.0, frac * _max_step(LZi, dZ, yin, dy[:, k:]))
+        return np.minimum(1.0, frac * _max_step(L, np.array([dX, dZ]), np.array([s, yin]), np.array([ds, dy[:, k:]])))
 
     def mu(X, Z, s, yin):
         return (np.sum(X * Z, axis=(1, 2)) + np.sum(s * yin * real, axis=1)) / (p + real.sum(axis=1))
@@ -633,7 +646,7 @@ def max_loss_data_dependent(
     # Each draw fills (a+, b+, a-, b-) in turn; columns go to variable order.
     draws = np.array([eps * rng.dirichlet(np.ones(4)) for _ in range(samples)])[:, [0, 2, 1, 3]]
     weights = np.concatenate([draws, extra])
-    progs = [build_gram_program(stats, model, F, w) for w in weights]
+    progs = _gram_programs(stats, model, F, weights)
     sols = _solve_batch(progs, max_iter=max_iter)
     optimal = [i for i, sol in enumerate(sols) if sol.status == "optimal"]
     if not optimal:

@@ -243,6 +243,28 @@ class TestCertifyDataDependent:
             docs.append(json.dumps(cert.to_json_dict(), sort_keys=True))
         assert docs[0] == docs[1]
 
+    def test_scores_each_distinct_attack_once(self, monkeypatch):
+        # The dd-interior benchmark config samples 2 multisets from each of
+        # its 2 strongest steps, and two of the four are the same multiset:
+        # the candidates share one retraining per distinct attack.
+        ds = generate_gaussian(GaussianSpec(d=2, lam=2.0, n=80, seed=5))
+        F = FeasibleSet("data-dependent", calibrate_thresholds(ds, class_stats(ds), 0.7))
+        attacks = []
+        real = certify_mod._score
+
+        def score(D_c, attack, *args, **kwargs):
+            attacks.append(attack)
+            return real(D_c, attack, *args, **kwargs)
+
+        monkeypatch.setattr(certify_mod, "_score", score)
+        cert = certify_data_dependent(
+            ds, F, eps=0.25, rho=2.0, seed=0,
+            steps=2, sdp_samples=1, attack_samples=2, eval_steps=2, sdp_max_iter=20000,
+        )
+        distinct = {(a.X.tobytes(), a.y.tobytes()) for a in attacks}
+        assert len(distinct) == len(attacks) < 2 * 2
+        assert (cert.attack.X.tobytes(), cert.attack.y.tobytes()) in distinct
+
     def test_eps_zero_degenerate(self):
         ds, F = gaussian_fixture(n=60, kind="data-dependent")
         cert = certify_data_dependent(ds, F, eps=0.0, rho=1.0)

@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -176,6 +180,29 @@ class TestBuildProgram:
                 build_gram_program(stats, model, params, w)
 
 
+class TestBatchedBuild:
+    @pytest.mark.parametrize("use_sphere, use_slab", [(True, True), (True, False), (False, True)])
+    def test_rows_match_one_draw_builds(self, use_sphere, use_slab):
+        # One pass builds all draws of an oracle call; draw k must be the
+        # program built from its weights alone, bit for bit, in every field.
+        ds, stats, _, model = setup_instance(seed=8, d=3)
+        params = calibrate_thresholds(ds, stats, 0.7, use_sphere=use_sphere, use_slab=use_slab)
+        eps = 0.25
+        draws = eps * np.random.default_rng(2).dirichlet(np.ones(4), size=6)
+        weights = np.concatenate([draws, sdp_mod._corner_weights(eps)])
+        batch = sdp_mod._gram_programs(stats, model, params, weights)
+        assert len(batch) == len(weights)
+        for w, prog in zip(weights, batch, strict=True):
+            alone = build_gram_program(stats, model, params, w)
+            for f in dataclasses.fields(GramProgram):
+                assert np.array_equal(getattr(prog, f.name), getattr(alone, f.name)), f.name
+        # A zero-mass point keeps its sphere and slab rows but no margin row.
+        per_point = 3 if use_sphere and use_slab else 1 if use_sphere else 2
+        assert [len(prog.ineq_rhs) for prog in batch] == [4 * (per_point + 1)] * 6 + [
+            4 * per_point + 1, 4 * per_point + 1, 4 * per_point + 2, 4 * per_point + 2
+        ]
+
+
 class TestSolve:
     def test_toy_box_program(self):
         C = np.zeros((2, 2))
@@ -351,6 +378,49 @@ class TestVerdicts:
         cert, solves = _recorded_dd_run(monkeypatch, 10.0)
         assert not [sol for _, sol in solves if sol.status == "max-iter"]
         assert cert.upper_bound >= 0.18
+
+
+class TestRayScreen:
+    def test_skips_only_draws_that_are_not_rays(self, monkeypatch):
+        # On the boundary workload most draws whose dual objective turns
+        # negative are no Farkas ray; the screen in `_solve_batch` skips them
+        # before `_is_ray`. Every draw it skips must be one `_is_ray`
+        # rejects, and no verdict may change against a run without it.
+        real_is_ray = sdp_mod._is_ray
+
+        def run(screen):
+            calls = []
+
+            def is_ray(prog, y, T):
+                calls.append((y.tobytes(), real_is_ray(prog, y, T)))
+                return calls[-1][1]
+
+            with monkeypatch.context() as m:
+                m.setattr(sdp_mod, "_RAY_SCREEN", screen)
+                m.setattr(sdp_mod, "_is_ray", is_ray)
+                cert, solves = _recorded_dd_run(m, 10.0)
+            return calls, cert, [sol for _, sol in solves]
+
+        unscreened, cert_off, sols_off = run(math.inf)
+        screened, cert_on, sols_on = run(sdp_mod._RAY_SCREEN)
+        # The screened calls are the unscreened ones with some left out.
+        kept, dropped = iter(screened), []
+        nxt = next(kept, None)
+        for call in unscreened:
+            if call == nxt:
+                nxt = next(kept, None)
+            else:
+                dropped.append(call)
+        assert nxt is None
+        assert dropped and not any(found for _, found in dropped)
+        assert sum(found for _, found in screened) == sum(found for _, found in unscreened) > 0
+        for on, off in zip(sols_on, sols_off, strict=True):
+            assert (on.status, on.iterations, on.objective, on.dual_bound) == (
+                off.status, off.iterations, off.objective, off.dual_bound
+            )
+            assert np.array_equal(on.G_opt, off.G_opt)
+            assert (on.y is None and off.y is None) or np.array_equal(on.y, off.y)
+        assert json.dumps(cert_on.to_json_dict()) == json.dumps(cert_off.to_json_dict())
 
 
 class TestRecovery:
